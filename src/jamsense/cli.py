@@ -21,9 +21,11 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .engine import (
@@ -37,10 +39,8 @@ from .engine import (
 )
 from .fusion import Belief
 from .network import Placement
-from .policies import PolicyKind
 from .sensing import (
     DetectionParams,
-    FadingKind,
     FalseAlarmTable,
     build_awgn_grid,
     build_rayleigh_grid,
@@ -108,134 +108,102 @@ PRESETS: Dict[str, ExperimentPreset] = {
 # Config <-> dict
 
 
-_TOP_LEVEL_KEYS = {
-    "seed", "n_wn", "n_fb", "horizon", "replications", "fading", "policy",
-    "epsilon_n", "qlearning", "use_super_decision", "detection",
-    "false_alarm", "placement", "jammer_bounds", "grid_lookup",
-    "shared_draw", "global_cohort", "grid_snr_min_db", "grid_snr_max_db",
-    "grid_snr_step_db", "grid_m_max",
+# The JSON schema is the dataclass fields themselves; the one exception is
+# the nested "qlearning" block, which holds the SimConfig `q_*` fields.
+_QLEARNING = {
+    "learning_rate": "q_learning_rate",
+    "discount": "q_discount",
+    "epsilon": "q_epsilon",
 }
-_QLEARNING_KEYS = {"learning_rate", "discount", "epsilon"}
-_DETECTION_KEYS = {"sigma2", "noncentrality", "threshold", "n_samples"}
-_FALSE_ALARM_KEYS = {"awgn", "rayleigh"}
-_PLACEMENT_KEYS = {
-    "nodes", "jammer", "range_km", "d0_km", "path_loss_exponent",
-    "jammer_power_db",
+_HINTS = {
+    cls: typing.get_type_hints(cls)
+    for cls in (SimConfig, DetectionParams, FalseAlarmTable, Placement)
+}
+# Leaf type -> (what the JSON value must be, test).  bool is a subclass of
+# int in Python, so the tests compare exact types.
+_LEAVES = {
+    bool: ("true or false", lambda v: type(v) is bool),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
 }
 
 
-def _reject_unknown(mapping: Dict, allowed: set, where: str) -> None:
-    for key in mapping:
-        if key not in allowed:
+def _object(value, where: str, keys=None) -> Dict:
+    """`value` as a JSON object whose keys all lie in `keys` (if given)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    for key in value:
+        if keys is not None and key not in keys:
             raise ConfigError(f"unknown key '{key}' in {where}")
+    return value
 
 
-def _fa_table(mapping: Dict, where: str) -> Dict[int, float]:
-    out = {}
-    for key, value in mapping.items():
+def _cast(tp, value, where: str):
+    """Convert the JSON `value` to the field type `tp`; errors name `where`."""
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union:  # Optional[X]: null selects the None default
+        return None if value is None else _cast(args[0], value, where)
+    if origin is tuple:  # Tuple[X, ...] or fixed-length Tuple[X, Y]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        types = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(types) != len(value):
+            raise ConfigError(f"{where}: expected {len(types)} entries, got {value!r}")
+        return tuple(
+            _cast(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(types, value))
+        )
+    if origin is dict:  # Dict[int, float]: JSON object keys are strings
+        out = {}
+        for key, v in _object(value, where).items():
+            try:
+                order = int(key)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{where}: key {key!r} is not an integer")
+            out[order] = _cast(args[1], v, f"{where}.{key}")
+        return out
+    if isinstance(tp, type) and issubclass(tp, Enum):
         try:
-            order = int(key)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: diversity order {key!r} is not an integer")
-        out[order] = float(value)
-    return out
+            return tp(value)
+        except ValueError:
+            raise ConfigError(
+                f"{where}: {value!r} is not one of {[k.value for k in tp]}"
+            )
+    expected, ok = _LEAVES[tp]
+    if not ok(value):
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    return tp(value)
+
+
+def _build(cls, data, where: str):
+    """Instantiate the config dataclass `cls` from a JSON object."""
+    hints = _HINTS[cls]
+    keys = set(hints)
+    if cls is SimConfig:
+        keys = keys - set(_QLEARNING.values()) | {"qlearning"}
+    kwargs: Dict = {}
+    for key, value in _object(data, where, keys).items():
+        if key == "qlearning":
+            block = _object(value, f"{where}.qlearning", _QLEARNING)
+            for sub, v in block.items():
+                name = _QLEARNING[sub]
+                kwargs[name] = _cast(hints[name], v, f"{where}.qlearning.{sub}")
+        else:
+            kwargs[key] = _cast(hints[key], value, f"{where}.{key}")
+    for f in dataclasses.fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.name not in kwargs:
+            raise ConfigError(f"{where}: '{f.name}' is required")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
 def config_from_dict(data: Dict, where: str = "config") -> SimConfig:
     """Build and validate a SimConfig from a plain dict (strict keys)."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object at the top level")
-    _reject_unknown(data, _TOP_LEVEL_KEYS, where)
-    kwargs: Dict = {}
-    simple = {
-        "seed": int, "n_wn": int, "n_fb": int, "horizon": int,
-        "replications": int, "epsilon_n": float,
-        "use_super_decision": bool, "grid_lookup": bool,
-        "shared_draw": bool, "global_cohort": bool,
-        "grid_snr_min_db": float, "grid_snr_max_db": float,
-        "grid_snr_step_db": float, "grid_m_max": int,
-    }
-    for key, cast in simple.items():
-        if key in data:
-            try:
-                kwargs[key] = cast(data[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{where}.{key}: cannot interpret {data[key]!r}")
-    if "fading" in data:
-        try:
-            kwargs["fading"] = FadingKind(data["fading"])
-        except ValueError:
-            raise ConfigError(
-                f"{where}.fading: {data['fading']!r} is not one of "
-                f"{[k.value for k in FadingKind]}"
-            )
-    if "policy" in data:
-        try:
-            kwargs["policy"] = PolicyKind(data["policy"])
-        except ValueError:
-            raise ConfigError(
-                f"{where}.policy: {data['policy']!r} is not one of "
-                f"{[k.value for k in PolicyKind]}"
-            )
-    if "qlearning" in data:
-        sub = data["qlearning"]
-        _reject_unknown(sub, _QLEARNING_KEYS, f"{where}.qlearning")
-        if "learning_rate" in sub:
-            kwargs["q_learning_rate"] = float(sub["learning_rate"])
-        if "discount" in sub:
-            kwargs["q_discount"] = float(sub["discount"])
-        if "epsilon" in sub:
-            kwargs["q_epsilon"] = float(sub["epsilon"])
-    if "detection" in data:
-        sub = data["detection"]
-        _reject_unknown(sub, _DETECTION_KEYS, f"{where}.detection")
-        try:
-            kwargs["detection"] = DetectionParams(
-                sigma2=float(sub.get("sigma2", 1.0)),
-                noncentrality=float(sub.get("noncentrality", 2.0)),
-                threshold=float(sub.get("threshold", 12.1)),
-                n_samples=int(sub.get("n_samples", 10)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}.detection: {exc}")
-    if "false_alarm" in data:
-        sub = data["false_alarm"]
-        _reject_unknown(sub, _FALSE_ALARM_KEYS, f"{where}.false_alarm")
-        defaults = FalseAlarmTable.defaults()
-        try:
-            kwargs["false_alarm"] = FalseAlarmTable(
-                awgn=_fa_table(sub["awgn"], f"{where}.false_alarm.awgn")
-                if "awgn" in sub
-                else defaults.awgn,
-                rayleigh=_fa_table(sub["rayleigh"], f"{where}.false_alarm.rayleigh")
-                if "rayleigh" in sub
-                else defaults.rayleigh,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}.false_alarm: {exc}")
-    if "placement" in data:
-        sub = data["placement"]
-        _reject_unknown(sub, _PLACEMENT_KEYS, f"{where}.placement")
-        if "nodes" not in sub:
-            raise ConfigError(f"{where}.placement: 'nodes' is required")
-        try:
-            kwargs["placement"] = Placement(
-                nodes=tuple((float(x), float(y)) for x, y in sub["nodes"]),
-                jammer=tuple(sub.get("jammer", (0.0, 0.0))),
-                range_km=float(sub.get("range_km", 0.45)),
-                d0_km=float(sub.get("d0_km", 0.05)),
-                path_loss_exponent=float(sub.get("path_loss_exponent", -2.3)),
-                jammer_power_db=float(sub.get("jammer_power_db", 15.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.placement: {exc}")
-    if "jammer_bounds" in data:
-        bounds = data["jammer_bounds"]
-        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
-            raise ConfigError(f"{where}.jammer_bounds: expected [lo, hi]")
-        kwargs["jammer_bounds"] = (float(bounds[0]), float(bounds[1]))
-
-    config = SimConfig(**kwargs)
+    config = _build(SimConfig, data, where)
     try:
         config.validate()
     except ValueError as exc:
@@ -243,53 +211,27 @@ def config_from_dict(data: Dict, where: str = "config") -> SimConfig:
     return config
 
 
+def _echo(value):
+    """JSON form of a config value; `_cast` reads it back unchanged."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _echo(getattr(value, f.name)) for f in dataclasses.fields(value)
+        }
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _echo(v) for k, v in sorted(value.items())}
+    return value
+
+
 def config_to_dict(config: SimConfig) -> Dict:
     """Full round-trippable echo of a config, placement resolved."""
-    placement = config.resolved_placement()
-    return {
-        "seed": config.seed,
-        "n_wn": config.n_wn,
-        "n_fb": config.n_fb,
-        "horizon": config.horizon,
-        "replications": config.replications,
-        "fading": config.fading.value,
-        "policy": config.policy.value,
-        "epsilon_n": config.epsilon_n,
-        "qlearning": {
-            "learning_rate": config.q_learning_rate,
-            "discount": config.q_discount,
-            "epsilon": config.q_epsilon,
-        },
-        "use_super_decision": config.use_super_decision,
-        "detection": {
-            "sigma2": config.detection.sigma2,
-            "noncentrality": config.detection.noncentrality,
-            "threshold": config.detection.threshold,
-            "n_samples": config.detection.n_samples,
-        },
-        "false_alarm": {
-            "awgn": {str(m): p for m, p in sorted(config.false_alarm.awgn.items())},
-            "rayleigh": {
-                str(m): p for m, p in sorted(config.false_alarm.rayleigh.items())
-            },
-        },
-        "placement": {
-            "nodes": [list(p) for p in placement.nodes],
-            "jammer": list(placement.jammer),
-            "range_km": placement.range_km,
-            "d0_km": placement.d0_km,
-            "path_loss_exponent": placement.path_loss_exponent,
-            "jammer_power_db": placement.jammer_power_db,
-        },
-        "jammer_bounds": list(config.jammer_bounds),
-        "grid_lookup": config.grid_lookup,
-        "shared_draw": config.shared_draw,
-        "global_cohort": config.global_cohort,
-        "grid_snr_min_db": config.grid_snr_min_db,
-        "grid_snr_max_db": config.grid_snr_max_db,
-        "grid_snr_step_db": config.grid_snr_step_db,
-        "grid_m_max": config.grid_m_max,
-    }
+    out = _echo(config)
+    out["placement"] = _echo(config.resolved_placement())
+    out["qlearning"] = {key: out.pop(name) for key, name in _QLEARNING.items()}
+    return out
 
 
 def _no_duplicates(pairs):
@@ -303,9 +245,8 @@ def _no_duplicates(pairs):
     return out
 
 
-def parse_config(path) -> SimConfig:
-    """Load and validate a strict-JSON scenario config."""
-    path = Path(path)
+def _read_json(path: Path) -> Dict:
+    """The top-level object of a strict-JSON config file."""
     if not path.exists():
         raise ConfigError(f"{path}: no such config file")
     try:
@@ -313,7 +254,12 @@ def parse_config(path) -> SimConfig:
             data = json.load(fh, object_pairs_hook=_no_duplicates)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    return config_from_dict(data, where=str(path))
+    return _object(data, str(path))
+
+
+def parse_config(path) -> SimConfig:
+    """Load and validate a strict-JSON scenario config."""
+    return config_from_dict(_read_json(Path(path)), where=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +372,21 @@ def _geometry_lines(prefix: str, config: SimConfig) -> List[str]:
     ]
 
 
+_SUMMARY_KEYS = (
+    "policy", "fading", "n_wn", "n_fb", "horizon", "replications", "seed",
+    "use_super_decision",
+)
+
+
 def _summary_lines(
     curves: Sequence[Tuple[str, SimConfig, BatchResult]]
 ) -> List[str]:
     lines = [f"version={__version__}"]
     for label, config, batch in curves:
         prefix = f"{label}." if label else ""
-        lines.append(f"{prefix}policy={config.policy.value}")
-        lines.append(f"{prefix}fading={config.fading.value}")
-        lines.append(f"{prefix}n_wn={config.n_wn}")
-        lines.append(f"{prefix}n_fb={config.n_fb}")
-        lines.append(f"{prefix}horizon={config.horizon}")
-        lines.append(f"{prefix}replications={config.replications}")
-        lines.append(f"{prefix}seed={config.seed}")
-        lines.append(f"{prefix}use_super_decision={config.use_super_decision}")
+        lines.extend(
+            f"{prefix}{key}={_echo(getattr(config, key))}" for key in _SUMMARY_KEYS
+        )
         lines.append(f"{prefix}jdr_final_mean={batch.jdr_final_mean:.6f}")
         lines.append(f"{prefix}jdr_final_se={batch.jdr_final_se():.6f}")
         lines.append(f"{prefix}tsr_final_mean={batch.tsr_final_mean:.6f}")
@@ -476,17 +423,15 @@ def run_experiment(
             _write_metrics_csv(metrics_path, batch)
             written.append(metrics_path)
             echo_path = out_dir / f"config_echo{suffix}.json"
-            with open(echo_path, "w") as fh:
-                json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            echo = json.dumps(config_to_dict(config), indent=2, sort_keys=True)
+            echo_path.write_text(echo + "\n")
             written.append(echo_path)
             if trace:
                 trace_path = out_dir / f"trace{suffix}.csv"
                 _write_trace_csv(trace_path, config)
                 written.append(trace_path)
         summary_path = out_dir / "summary.txt"
-        with open(summary_path, "w") as fh:
-            fh.write("\n".join(_summary_lines(results)) + "\n")
+        summary_path.write_text("\n".join(_summary_lines(results)) + "\n")
         written.append(summary_path)
         written.extend(export_grid(curves[0][1], out_dir))
     except BaseException:
@@ -503,25 +448,9 @@ def run_experiment(
 # Argument parsing
 
 
-def _apply_overrides(config: SimConfig, args: argparse.Namespace) -> SimConfig:
-    updates: Dict = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.replications is not None:
-        updates["replications"] = args.replications
-    if args.n_fb is not None:
-        updates["n_fb"] = args.n_fb
-    if args.horizon is not None:
-        updates["horizon"] = args.horizon
-    if args.policy is not None:
-        updates["policy"] = PolicyKind(args.policy)
-    if args.fading is not None:
-        updates["fading"] = FadingKind(args.fading)
-    if args.super_decision is not None:
-        updates["use_super_decision"] = args.super_decision == "on"
-    if args.epsilon_n is not None:
-        updates["epsilon_n"] = args.epsilon_n
-    return dataclasses.replace(config, **updates) if updates else config
+_FLAG_KEYS = (
+    "seed", "replications", "n_fb", "horizon", "policy", "fading", "epsilon_n",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,18 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", choices=sorted(PRESETS), help="named reference scenario"
     )
     run_p.add_argument("--out", type=Path, required=True, help="output directory")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--replications", type=int, default=None)
-    run_p.add_argument("--n-fb", type=int, default=None, dest="n_fb")
-    run_p.add_argument("--horizon", type=int, default=None)
+    # Config-key flags: the dest is the key and the type comes from SimConfig.
+    for key in _FLAG_KEYS:
+        tp = _HINTS[SimConfig][key]
+        typed = (
+            {"choices": [k.value for k in tp]} if issubclass(tp, Enum) else {"type": tp}
+        )
+        run_p.add_argument("--" + key.replace("_", "-"), dest=key, **typed)
     run_p.add_argument(
-        "--policy", choices=[k.value for k in PolicyKind], default=None
+        "--super-decision", choices=["on", "off"], dest="use_super_decision"
     )
-    run_p.add_argument(
-        "--fading", choices=[k.value for k in FadingKind], default=None
-    )
-    run_p.add_argument("--super-decision", choices=["on", "off"], default=None)
-    run_p.add_argument("--epsilon-n", type=float, default=None, dest="epsilon_n")
     run_p.add_argument("--trace", action="store_true", help="write full node-step traces")
     run_p.add_argument("--workers", type=int, default=1)
 
@@ -563,17 +490,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _curves_for(args: argparse.Namespace) -> List[Tuple[str, SimConfig]]:
+    """One (label, config) per curve; flags override preset or file keys."""
+    overrides = {
+        key: getattr(args, key) for key in _FLAG_KEYS if getattr(args, key) is not None
+    }
+    if args.use_super_decision is not None:
+        overrides["use_super_decision"] = args.use_super_decision == "on"
     if args.preset:
         preset = PRESETS[args.preset]
-        curves = []
-        for label, deltas in preset.curves:
-            merged = dict(preset.base)
-            merged.update(deltas)
-            config = config_from_dict(merged, where=f"preset {preset.name}")
-            curves.append((label, _apply_overrides(config, args)))
-        return curves
-    config = parse_config(args.config) if args.config else SimConfig()
-    return [("", _apply_overrides(config, args))]
+        where = f"preset {preset.name}"
+        return [
+            (label, config_from_dict({**preset.base, **deltas, **overrides}, where))
+            for label, deltas in preset.curves
+        ]
+    data = _read_json(args.config) if args.config else {}
+    where = str(args.config or "command line")
+    return [("", config_from_dict({**data, **overrides}, where))]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -589,8 +521,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"wrote {path}")
             return 0
         curves = _curves_for(args)
-        for _, config in curves:
-            config.validate()
         written = run_experiment(
             curves, args.out, trace=args.trace, workers=args.workers
         )

@@ -42,6 +42,7 @@ from .network import (
     Placement,
     build_neighbor_graph,
     default_placement,
+    jammer_distance_km,
     snr_at_node,
 )
 from .policies import (
@@ -54,6 +55,7 @@ from .policies import (
     update_q,
 )
 from .sensing import (
+    RAYLEIGH_MAX_THRESHOLD_RATIO,
     DetectionParams,
     FadingKind,
     FalseAlarmTable,
@@ -62,12 +64,18 @@ from .sensing import (
     false_alarm_probability,
     p_d_awgn,
     p_d_rayleigh_single,
+    snr_in_range,
 )
 
 # Transmission outcomes.
 SKIPPED = 0
 SUCCESSFUL = 1
 JAMMED = 2
+
+_INT16_MAX = np.iinfo(np.int16).max
+# Bounds the memory and set-up time of the AWGN detection table (the
+# reference table has 16 x 6 entries).
+_GRID_MAX_ENTRIES = 10_000
 
 
 @dataclass
@@ -99,10 +107,11 @@ class SimConfig:
     grid_m_max: int = 6
 
     def validate(self) -> None:
-        if self.n_wn < 1:
-            raise ValueError(f"n_wn must be >= 1, got {self.n_wn}")
-        if self.n_fb < 1:
-            raise ValueError(f"n_fb must be >= 1, got {self.n_fb}")
+        # Channel indices and cohort sizes are logged as int16.
+        if not 1 <= self.n_wn <= _INT16_MAX:
+            raise ValueError(f"n_wn must be in [1, {_INT16_MAX}], got {self.n_wn}")
+        if not 1 <= self.n_fb <= _INT16_MAX:
+            raise ValueError(f"n_fb must be in [1, {_INT16_MAX}], got {self.n_fb}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.replications < 1:
@@ -118,6 +127,14 @@ class SimConfig:
             raise ValueError("grid SNR range is empty")
         if self.grid_m_max < 1:
             raise ValueError("grid_m_max must be >= 1")
+        snr_points = (
+            self.grid_snr_max_db - self.grid_snr_min_db
+        ) / self.grid_snr_step_db + 1
+        if snr_points * self.grid_m_max > _GRID_MAX_ENTRIES:
+            raise ValueError(
+                f"detection grid of {snr_points:.6g} SNR points x grid_m_max="
+                f"{self.grid_m_max} exceeds {_GRID_MAX_ENTRIES} entries"
+            )
         if not 0.0 < self.q_learning_rate <= 1.0:
             raise ValueError(f"q_learning_rate={self.q_learning_rate} outside (0, 1]")
         if not 0.0 <= self.q_discount < 1.0:
@@ -127,6 +144,40 @@ class SimConfig:
         if self.placement is not None and self.placement.n_nodes != self.n_wn:
             raise ValueError(
                 f"placement has {self.placement.n_nodes} nodes but n_wn={self.n_wn}"
+            )
+        d = self.detection
+        if (
+            self.fading is FadingKind.RAYLEIGH
+            and d.threshold / d.sigma2 > RAYLEIGH_MAX_THRESHOLD_RATIO
+        ):
+            raise ValueError(
+                f"threshold/sigma2 = {d.threshold / d.sigma2:.6g} exceeds "
+                f"{RAYLEIGH_MAX_THRESHOLD_RATIO} under Rayleigh fading"
+            )
+        # Every SNR the detection model may be evaluated at must be in range.
+        placement = self.resolved_placement()
+        for i in range(self.n_wn):
+            if jammer_distance_km(placement, i) == 0.0:
+                raise ValueError(
+                    f"placement node {i} sits on the jammer site {placement.jammer}"
+                )
+            try:
+                snr = snr_at_node(placement, i, d.sigma2)
+            except OverflowError:
+                snr = math.inf
+            if not snr_in_range(d, self.fading, snr):
+                raise ValueError(
+                    f"jammer SNR at placement node {i} is outside the range "
+                    "the detection model can evaluate"
+                )
+        try:
+            top = 10.0 ** (self.grid_snr_max_db / 10.0)
+        except OverflowError:
+            top = math.inf
+        if not snr_in_range(d, self.fading, top):
+            raise ValueError(
+                f"grid_snr_max_db={self.grid_snr_max_db} is outside the range "
+                "the detection model can evaluate"
             )
 
     def resolved_placement(self) -> Placement:

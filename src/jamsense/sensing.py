@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Sequence
 
@@ -32,6 +32,9 @@ from scipy import special
 _SERIES_TAIL = 1e-14      # neglected Poisson mass in the Marcum Q series
 _SERIES_MAX_TERMS = 20000
 _PROB_SLACK = 1e-9        # float-noise allowance on [0, 1] assertions
+# Above this threshold/sigma2 the Rayleigh closed form's e^{-x} factor
+# underflows while its series overflows (x = threshold/(2*sigma2) > 700).
+RAYLEIGH_MAX_THRESHOLD_RATIO = 1400.0
 
 
 class FadingKind(Enum):
@@ -92,8 +95,12 @@ class FalseAlarmTable:
     below, and orders below the smallest listed entry use the smallest.
     """
 
-    awgn: Dict[int, float]
-    rayleigh: Dict[int, float]
+    awgn: Dict[int, float] = field(
+        default_factory=lambda: dict(DEFAULT_AWGN_FALSE_ALARMS)
+    )
+    rayleigh: Dict[int, float] = field(
+        default_factory=lambda: dict(DEFAULT_RAYLEIGH_FALSE_ALARMS)
+    )
 
     def __post_init__(self) -> None:
         for kind, table in (("awgn", self.awgn), ("rayleigh", self.rayleigh)):
@@ -107,10 +114,7 @@ class FalseAlarmTable:
 
     @classmethod
     def defaults(cls) -> "FalseAlarmTable":
-        return cls(
-            awgn=dict(DEFAULT_AWGN_FALSE_ALARMS),
-            rayleigh=dict(DEFAULT_RAYLEIGH_FALSE_ALARMS),
-        )
+        return cls()
 
     def lookup(self, kind: FadingKind, m: int) -> float:
         return false_alarm_probability(self, kind, m)
@@ -151,11 +155,10 @@ def marcum_q(order: float, alpha: float, beta: float) -> float:
         raise ValueError(f"alpha and beta must be >= 0, got {alpha}, {beta}")
     if not (math.isfinite(order) and math.isfinite(alpha) and math.isfinite(beta)):
         raise ValueError("order, alpha, beta must be finite")
-    if beta == 0.0:
-        return 1.0
-
     x = 0.5 * beta * beta
     u = 0.5 * alpha * alpha
+    if x == 0.0:
+        return 1.0
 
     # Upper-gamma start Q(order, x), then the recurrence
     # Q(s+1, x) = Q(s, x) + x^s e^{-x} / Gamma(s+1).
@@ -176,7 +179,7 @@ def marcum_q(order: float, alpha: float, beta: float) -> float:
     # Remaining weights multiply gamma terms that are <= 1 and -> 1;
     # counting them as 1 bounds the truncation error by the tail mass.
     total += 1.0 - weight_sum
-    return min(total, 1.0)
+    return min(max(total, 0.0), 1.0)
 
 
 def p_d_awgn(params: DetectionParams, snr: float, m: int = 1) -> float:
@@ -193,6 +196,18 @@ def p_d_awgn(params: DetectionParams, snr: float, m: int = 1) -> float:
     alpha = math.sqrt(params.noncentrality * snr / params.sigma2)
     beta = math.sqrt(params.threshold / params.sigma2)
     return marcum_q(order, alpha, beta)
+
+
+def snr_in_range(params: DetectionParams, kind: FadingKind, snr: float) -> bool:
+    """Whether the detection probability for `kind` is finite at linear `snr`.
+
+    `p_d_awgn` forms noncentrality*snr/sigma2 and `p_d_rayleigh_single`
+    forms x*noncentrality*snr with x = threshold/(2*sigma2).
+    """
+    g = params.noncentrality * snr
+    if kind is FadingKind.AWGN:
+        return math.isfinite(g / params.sigma2)
+    return math.isfinite(params.threshold / (2.0 * params.sigma2) * g)
 
 
 def p_d_rayleigh_single(params: DetectionParams, mean_snr: float) -> float:
@@ -239,8 +254,9 @@ def p_d_rayleigh_single(params: DetectionParams, mean_snr: float) -> float:
             break
     p = math.exp(-x) * (head + tail) if x > 0 else 1.0
 
-    assert -_PROB_SLACK <= p <= 1.0 + _PROB_SLACK, f"probability {p} outside [0, 1]"
-    return p
+    if not -_PROB_SLACK <= p <= 1.0 + _PROB_SLACK:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    return min(max(p, 0.0), 1.0)
 
 
 def p_d_rayleigh_combined(singles: Sequence[float]) -> float:

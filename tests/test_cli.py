@@ -1,10 +1,13 @@
 """CLI tests: strict config parsing, artifact emission, reproducibility."""
 
+import copy
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jamsense.cli import (
     ConfigError,
@@ -16,7 +19,7 @@ from jamsense.cli import (
     parse_config,
     run_experiment,
 )
-from jamsense.engine import SimConfig, run
+from jamsense.engine import SimConfig, run, run_batch
 from jamsense.policies import PolicyKind
 from jamsense.sensing import FadingKind
 
@@ -93,6 +96,36 @@ class TestParseConfig:
                 write_config(tmp_path, {"placement": {"range_km": 0.4}})
             )
 
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"qlearning": 3}, "config.json.qlearning"),
+            ({"detection": 3}, "config.json.detection"),
+            ({"qlearning": {"epsilon": "x"}}, "qlearning.epsilon"),
+            ({"jammer_bounds": ["a", "b"]}, "jammer_bounds[0]"),
+            ({"use_super_decision": "false"}, "use_super_decision"),
+            ({"grid_lookup": "no"}, "grid_lookup"),
+            ({"n_wn": 2.7}, "n_wn"),
+            ({"seed": True}, "seed"),
+            ({"epsilon_n": "0.1"}, "epsilon_n"),
+            ({"fading": 3}, "fading"),
+            ({"false_alarm": {"awgn": {"one": 0.1}}}, "false_alarm.awgn"),
+            (
+                {"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0.2, 0]], "jammer": [0]}},
+                "placement.jammer",
+            ),
+            ({"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0, 0]]}}, "node 1"),
+            ({"n_fb": 40000}, "n_fb"),
+            ({"n_wn": 40000}, "n_wn"),
+        ],
+    )
+    def test_malformed_value_names_field(self, tmp_path, data, field):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write_config(tmp_path, data))
+        message = str(excinfo.value)
+        assert field in message
+        assert "q_epsilon" not in message
+
     def test_false_alarm_override(self, tmp_path):
         config = parse_config(
             write_config(
@@ -102,6 +135,55 @@ class TestParseConfig:
         )
         assert config.false_alarm.awgn == {1: 0.5, 2: 0.25}
         assert config.false_alarm.rayleigh[1] == 0.83  # default retained
+
+
+def _key_paths(value, path=()):
+    """Every key path into a JSON value, the value's own (empty) path first."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, sub in items:
+        yield from _key_paths(sub, path + (key,))
+
+
+_DEFAULT_ECHO = config_to_dict(SimConfig())
+_DELETE = object()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_MUTATION = st.tuples(
+    st.sampled_from(list(_key_paths(_DEFAULT_ECHO))[1:]), _JSON | st.just(_DELETE)
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_MUTATION, min_size=1, max_size=3))
+def test_config_from_dict_fuzz(mutations):
+    """A mutated default echo either fails with ConfigError or runs."""
+    data = copy.deepcopy(_DEFAULT_ECHO)
+    for path, value in mutations:
+        parent = data
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation replaced a container on this path
+    try:
+        config = config_from_dict(data)
+    except ConfigError:
+        return
+    run_batch(dataclasses.replace(config, replications=1, horizon=5), workers=1)
 
 
 def test_config_dict_round_trip():
@@ -222,6 +304,30 @@ class TestMain:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "data, flags, field",
+        [
+            ({"qlearning": {"epsilon": "x"}}, [], "qlearning.epsilon"),
+            ({"jammer_bounds": ["a", "b"]}, [], "jammer_bounds[0]"),
+            ({}, ["--epsilon-n", "7"], "epsilon_n"),
+            ({}, ["--epsilon-n", "nan"], "epsilon_n"),
+            ({}, ["--replications", "0"], "replications"),
+            ({}, ["--n-fb", "40000"], "n_fb"),
+            (None, ["--preset", "tsr-local", "--horizon", "0"], "horizon"),
+        ],
+    )
+    def test_invalid_input_exit_two_names_field(
+        self, tmp_path, capsys, data, flags, field
+    ):
+        argv = ["run", "--out", str(tmp_path / "out"), *flags]
+        if data is not None:
+            argv += ["--config", str(write_config(tmp_path, data))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert field in err
+        assert not (tmp_path / "out").exists()
 
     def test_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 2, "horizon": 20, "replications": 1})

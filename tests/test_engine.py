@@ -24,6 +24,7 @@ from jamsense.engine import (
     tsr_curve,
 )
 from jamsense.fusion import Belief
+from jamsense.network import Placement
 from jamsense.policies import PolicyKind
 from jamsense.sensing import DetectionParams, FadingKind, FalseAlarmTable
 
@@ -290,6 +291,39 @@ def test_config_validation_errors():
 
     with pytest.raises(ValueError):
         SimConfig(placement=Placement(nodes=((0, 0),))).validate()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(n_wn=32768), "n_wn"),
+        (dict(n_fb=32768), "n_fb"),
+        (
+            dict(n_wn=2, placement=Placement(nodes=((0.1, 0.0), (0.0, 0.0)))),
+            "placement node 1 sits on the jammer site",
+        ),
+        (
+            dict(n_wn=2, placement=Placement(nodes=((0.1, 0.0), (1e-300, 0.0)))),
+            "placement node 1",
+        ),
+        (dict(detection=DetectionParams(sigma2=5e-324)), "placement node 0"),
+        (
+            dict(fading=FadingKind.RAYLEIGH, detection=DetectionParams(threshold=1e5)),
+            "threshold/sigma2",
+        ),
+        (dict(grid_snr_min_db=1e300, grid_snr_max_db=1e300), "grid_snr_max_db"),
+        (dict(grid_snr_step_db=1e-3), "detection grid"),
+        (dict(grid_m_max=10**9), "detection grid"),
+    ],
+)
+def test_config_validation_names_the_field(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**kwargs).validate()
+
+
+def test_int16_log_bounds_are_inclusive():
+    SimConfig(n_fb=32767).validate()
+    SimConfig(n_wn=32767).validate()
 
 
 def test_chain_count_follows_band_size():

@@ -104,6 +104,11 @@ class TestMarcumQ:
                     checks += 1
         assert checks >= 1000
 
+    def test_stays_in_unit_interval_at_float_limits(self):
+        # beta**2/2 underflows to 0; at alpha = 38 the Poisson weights are subnormal.
+        assert marcum_q(5, 1.0, 1e-170) == 1.0
+        assert 0.0 <= marcum_q(5, 38.0, 45.0) <= 1.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             marcum_q(0.4, 1.0, 1.0)
@@ -186,6 +191,12 @@ class TestPdRayleigh:
     def test_negative_mean_snr_rejected(self):
         with pytest.raises(ValueError):
             p_d_rayleigh_single(PARAMS, -0.1)
+
+    def test_rounding_above_one_is_clamped(self):
+        # With 64 samples the closed form rounds to 1 + 2e-16 from 29 dB on.
+        params = DetectionParams(n_samples=64)
+        assert p_d_rayleigh_single(params, 10 ** 2.9) == 1.0
+        assert build_rayleigh_grid(params, 0.0, 40.0).values.max() == 1.0
 
 
 class TestPdRayleighCombined:
