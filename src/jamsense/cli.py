@@ -40,10 +40,13 @@ from .engine import (
 from .fusion import Belief
 from .network import Placement
 from .sensing import (
+    RAYLEIGH_MAX_THRESHOLD_RATIO,
     DetectionParams,
+    FadingKind,
     FalseAlarmTable,
     build_awgn_grid,
     build_rayleigh_grid,
+    snr_in_range,
 )
 
 
@@ -324,50 +327,40 @@ def _write_trace_csv(path: Path, config: SimConfig) -> None:
                 )
 
 
+def _check_exportable(config: SimConfig) -> None:
+    """Both tables are written whatever the fading, so both must be defined."""
+    d = config.detection
+    if d.threshold / d.sigma2 > RAYLEIGH_MAX_THRESHOLD_RATIO:
+        raise ConfigError(
+            f"detection.threshold: threshold/sigma2 above "
+            f"{RAYLEIGH_MAX_THRESHOLD_RATIO} makes grid_rayleigh.csv NaN"
+        )
+    if not snr_in_range(d, FadingKind.AWGN, 10.0 ** (config.grid_snr_max_db / 10.0)):
+        raise ConfigError("grid_snr_max_db: too large for grid_awgn.csv")
+
+
 def export_grid(config: SimConfig, out_dir) -> List[Path]:
     """Write the AWGN table and the Rayleigh m=1 column as CSV files."""
+    _check_exportable(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    awgn = build_awgn_grid(
-        config.detection,
-        config.grid_snr_min_db,
-        config.grid_snr_max_db,
-        config.grid_snr_step_db,
-        config.grid_m_max,
-    )
-    rayleigh = build_rayleigh_grid(
-        config.detection,
-        config.grid_snr_min_db,
-        config.grid_snr_max_db,
-        config.grid_snr_step_db,
-    )
-    awgn_path = out_dir / "grid_awgn.csv"
-    rayleigh_path = out_dir / "grid_rayleigh.csv"
-    awgn.to_csv(awgn_path)
-    rayleigh.to_csv(rayleigh_path)
-    return [awgn_path, rayleigh_path]
+    snr_range = (config.grid_snr_min_db, config.grid_snr_max_db, config.grid_snr_step_db)
+    awgn = build_awgn_grid(config.detection, *snr_range, config.grid_m_max)
+    rayleigh = build_rayleigh_grid(config.detection, *snr_range)
+    paths = [out_dir / "grid_awgn.csv", out_dir / "grid_rayleigh.csv"]
+    awgn.to_csv(paths[0])
+    rayleigh.to_csv(paths[1])
+    return paths
 
 
-def _geometry_lines(prefix: str, config: SimConfig) -> List[str]:
+def _geometry_lines(prefix: str, batch: BatchResult) -> List[str]:
     """Resolved-world echo: SNRs, neighbor edges, replication-0 chains."""
-    from . import rng as rngmod
-    from .jammers import init_chains
-    from .network import build_neighbor_graph, snr_at_node
-
-    placement = config.resolved_placement()
-    graph = build_neighbor_graph(placement)
-    snr_db = [
-        10.0 * math.log10(snr_at_node(placement, i, config.detection.sigma2))
-        for i in range(config.n_wn)
-    ]
-    run_seed = rngmod.derive_seed(config.seed, rngmod.REPLICATION, 0)
-    chains = init_chains(config.n_fb, config.jammer_bounds, run_seed)
     return [
-        f"{prefix}snr_db=" + ",".join(f"{s:.4f}" for s in snr_db),
-        f"{prefix}edges=" + ";".join(f"{i}-{j}" for i, j in graph.edges()),
+        f"{prefix}snr_db=" + ",".join(f"{s:.4f}" for s in batch.snr_db),
+        f"{prefix}edges=" + ";".join(f"{i}-{j}" for i, j in batch.edges),
         f"{prefix}chains_rep0=" + ";".join(
-            f"{c.stay_idle:.6f},{c.stay_active:.6f},{int(c.active)}"
-            for c in chains
+            f"{stay_idle:.6f},{stay_active:.6f},{int(active)}"
+            for stay_idle, stay_active, active in batch.chain_params
         ),
     ]
 
@@ -393,7 +386,7 @@ def _summary_lines(
         lines.append(f"{prefix}tsr_final_se={batch.tsr_final_se():.6f}")
         lines.append(f"{prefix}jdr_defined={batch.jamming_occurred}")
         lines.append(f"{prefix}tsr_defined={batch.transmissions_attempted}")
-        lines.extend(_geometry_lines(prefix, config))
+        lines.extend(_geometry_lines(prefix, batch))
     return lines
 
 
@@ -410,6 +403,7 @@ def run_experiment(
     """
     for _, config in curves:
         config.validate()
+    _check_exportable(curves[0][1])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []

@@ -37,7 +37,7 @@ from .fusion import (
     fuse_decisions,
     fuse_observations,
 )
-from .jammers import JammerChain, init_chains, step as step_chain
+from .jammers import init_chains, step as step_chain
 from .network import (
     Placement,
     build_neighbor_graph,
@@ -238,90 +238,59 @@ class RunRecord:
 class _World:
     """Resolved per-run state: geometry, probability tables, substreams."""
 
-    def __init__(self, config: SimConfig, run_seed: int,
-                 chains: Optional[List[JammerChain]] = None):
+    def __init__(self, config: SimConfig, run_seed: int):
         self.config = config
         self.run_seed = run_seed
         self.placement = config.resolved_placement()
         self.graph = build_neighbor_graph(self.placement)
-        self.chains = (
-            chains
-            if chains is not None
-            else init_chains(config.n_fb, config.jammer_bounds, run_seed)
-        )
-        if len(self.chains) != config.n_fb:
-            raise ValueError("one jammer chain per channel is required")
+        self.chains = init_chains(config.n_fb, config.jammer_bounds, run_seed)
         self.sensing_rng = rngmod.substream(run_seed, rngmod.SENSING)
         self.policy_rng = rngmod.substream(run_seed, rngmod.POLICY)
         self.transmit_rng = rngmod.substream(run_seed, rngmod.TRANSMIT)
 
         n = config.n_wn
-        sigma2 = config.detection.sigma2
+        params = config.detection
         self.snr_linear = np.array(
-            [snr_at_node(self.placement, i, sigma2) for i in range(n)]
+            [snr_at_node(self.placement, i, params.sigma2) for i in range(n)]
         )
         self.snr_db = 10.0 * np.log10(self.snr_linear)
 
-        # Detection probability per (node, m); m capped at the node count.
-        m_cap = n
+        # Detection probability per (node, m) for m = 1 .. len(row); larger
+        # cohorts read the last column.  Columns stop where the evaluator
+        # stops telling m apart: a grid clamps m at its last column, and
+        # Rayleigh values are single-node ones that cohorts combine.
+        awgn = config.fading is FadingKind.AWGN
         if config.grid_lookup:
-            if config.fading is FadingKind.AWGN:
-                grid = build_awgn_grid(
-                    config.detection,
-                    config.grid_snr_min_db,
-                    config.grid_snr_max_db,
-                    config.grid_snr_step_db,
-                    config.grid_m_max,
-                )
-                self.pd = np.array(
-                    [
-                        [grid.lookup(self.snr_db[i], m) for m in range(1, m_cap + 1)]
-                        for i in range(n)
-                    ]
-                )
-            else:
-                grid = build_rayleigh_grid(
-                    config.detection,
-                    config.grid_snr_min_db,
-                    config.grid_snr_max_db,
-                    config.grid_snr_step_db,
-                )
-                self.pbar = np.array(
-                    [grid.lookup(self.snr_db[i], 1) for i in range(n)]
-                )
+            snr_range = (
+                config.grid_snr_min_db, config.grid_snr_max_db, config.grid_snr_step_db
+            )
+            grid = (
+                build_awgn_grid(params, *snr_range, config.grid_m_max)
+                if awgn
+                else build_rayleigh_grid(params, *snr_range)
+            )
+            columns = min(n, len(grid.diversity))
+            p_d = lambda i, m: grid.lookup(self.snr_db[i], m)
+        elif awgn:
+            columns = n
+            p_d = lambda i, m: p_d_awgn(params, self.snr_linear[i], m)
         else:
-            if config.fading is FadingKind.AWGN:
-                self.pd = np.array(
-                    [
-                        [
-                            p_d_awgn(config.detection, self.snr_linear[i], m)
-                            for m in range(1, m_cap + 1)
-                        ]
-                        for i in range(n)
-                    ]
-                )
-            else:
-                self.pbar = np.array(
-                    [
-                        p_d_rayleigh_single(config.detection, self.snr_linear[i])
-                        for i in range(n)
-                    ]
-                )
-        if config.fading is FadingKind.RAYLEIGH:
-            # log(1 - pbar) per node; cohort combining sums these.
+            columns = 1
+            p_d = lambda i, m: p_d_rayleigh_single(params, self.snr_linear[i])
+        self.pd_rows = [[p_d(i, m) for m in range(1, columns + 1)] for i in range(n)]
+        if not awgn:
+            # log(1 - p) per node; cohort combining sums these.
             with np.errstate(divide="ignore"):
-                self.log_miss = np.log1p(-self.pbar)
-            self.log_miss_list = self.log_miss.tolist()
-        else:
-            self.pd_rows = [row.tolist() for row in self.pd]
+                self.log_miss_list = np.log1p(
+                    -np.array([row[0] for row in self.pd_rows])
+                ).tolist()
 
-        self.fa = np.array(
-            [
-                false_alarm_probability(config.false_alarm, config.fading, m)
-                for m in range(1, m_cap + 1)
-            ]
-        )
-        self.fa_list = self.fa.tolist()
+        # False-alarm probability per m, up to the largest listed order.
+        fa = config.false_alarm
+        self.fa_list = [
+            false_alarm_probability(fa, config.fading, m)
+            for m in range(1, min(n, max(fa.awgn if awgn else fa.rayleigh)) + 1)
+        ]
 
 
 def _cohort(world: _World, actions: Sequence[int], node: int) -> List[int]:
@@ -338,11 +307,14 @@ def _cohort(world: _World, actions: Sequence[int], node: int) -> List[int]:
 def _detection_probability(world: _World, cohort: List[int], node: int) -> float:
     if world.config.fading is FadingKind.AWGN:
         row = world.pd_rows[node]
-        m = min(len(cohort), len(row))
-        return row[m - 1]
+        return row[min(len(cohort), len(row)) - 1]
     # Rayleigh: combine the cohort members' individual averages.
     log_miss = world.log_miss_list
     return -math.expm1(sum(log_miss[j] for j in cohort))
+
+
+def _false_alarm_probability(world: _World, m: int) -> float:
+    return world.fa_list[min(m, len(world.fa_list)) - 1]
 
 
 def _run_world(world: _World) -> RunRecord:
@@ -376,8 +348,6 @@ def _run_world(world: _World) -> RunRecord:
     )
     neighbors = world.graph.neighbors
     occupied, vacant = int(Belief.OCCUPIED), int(Belief.VACANT)
-    fa_list = world.fa_list
-    n_fa = len(fa_list)
     chains = world.chains
     policy_rng = world.policy_rng
     transmit_rng = world.transmit_rng
@@ -405,7 +375,7 @@ def _run_world(world: _World) -> RunRecord:
             if truth[channel]:
                 p = _detection_probability(world, cohort, i)
             else:
-                p = fa_list[m - 1 if m <= n_fa else n_fa - 1]
+                p = _false_alarm_probability(world, m)
             u = draws[channel] if config.shared_draw else draws[i]
             observations.append(occupied if u < p else vacant)
 
@@ -592,6 +562,10 @@ class BatchResult:
     tsr_final: np.ndarray
     jamming_occurred: bool  # False flags a degenerate JDR denominator
     transmissions_attempted: bool
+    # Replication 0's resolved world, as in its RunRecord.
+    snr_db: Tuple[float, ...]
+    edges: Tuple[Tuple[int, int], ...]
+    chain_params: Tuple[Tuple[float, float, bool], ...]
 
     @property
     def jdr_final_mean(self) -> float:
@@ -612,16 +586,19 @@ class BatchResult:
         return float(self.tsr_final.std(ddof=1) / np.sqrt(self.replications))
 
 
-def _replicate(args: Tuple[SimConfig, int]) -> Tuple[np.ndarray, np.ndarray, bool, bool]:
+def _replicate(args: Tuple[SimConfig, int]) -> Tuple:
+    """Curves and flags of one replication, plus replication 0's world."""
     config, r = args
     record = run(config, replication=r)
     detected, total = detection_counts(record)
     successful, attempted = transmission_counts(record)
+    world = (record.snr_db, record.edges, record.chain_params) if r == 0 else None
     return (
         jdr_curve(record),
         tsr_curve(record),
         bool(total.sum() > 0),
         bool(attempted.sum() > 0),
+        world,
     )
 
 
@@ -645,6 +622,7 @@ def run_batch(config: SimConfig, workers: int = 1) -> BatchResult:
 
     jdr = np.stack([res[0] for res in results])
     tsr = np.stack([res[1] for res in results])
+    snr_db, edges, chain_params = results[0][4]
     ddof = 1 if reps > 1 else 0
     return BatchResult(
         config=config,
@@ -657,4 +635,7 @@ def run_batch(config: SimConfig, workers: int = 1) -> BatchResult:
         tsr_final=tsr[:, -1].copy(),
         jamming_occurred=all(res[2] for res in results),
         transmissions_attempted=all(res[3] for res in results),
+        snr_db=snr_db,
+        edges=edges,
+        chain_params=chain_params,
     )

@@ -31,6 +31,12 @@ from scipy import special
 
 _SERIES_TAIL = 1e-14      # neglected Poisson mass in the Marcum Q series
 _SERIES_MAX_TERMS = 20000
+# Above this alpha**2/2 the series' first Poisson weight e^{-u} underflows.
+_SERIES_MAX_U = 708.0
+# Largest alpha**2 at which scipy's noncentral chi-square tail is trusted: up
+# to 1e10 it stays within the skewness error of its normal limit, while at
+# 1e12 it gives 0.43 at the mean, where the tail is close to 0.5.
+MARCUM_MAX_NONCENTRALITY = 1e10
 _PROB_SLACK = 1e-9        # float-noise allowance on [0, 1] assertions
 # Above this threshold/sigma2 the Rayleigh closed form's e^{-x} factor
 # underflows while its series overflows (x = threshold/(2*sigma2) > 700).
@@ -116,9 +122,6 @@ class FalseAlarmTable:
     def defaults(cls) -> "FalseAlarmTable":
         return cls()
 
-    def lookup(self, kind: FadingKind, m: int) -> float:
-        return false_alarm_probability(self, kind, m)
-
 
 def false_alarm_probability(table: FalseAlarmTable, kind: FadingKind, m: int) -> float:
     """False-alarm probability for diversity order m (total function)."""
@@ -147,7 +150,9 @@ def marcum_q(order: float, alpha: float, beta: float) -> float:
 
     with u = alpha**2 / 2, truncated once the remaining Poisson mass
     drops below 1e-14.  Absolute error is within ~1e-12 for
-    order in [0.5, 64] and alpha, beta in [0, 12].
+    order in [0.5, 64] and alpha, beta in [0, 12].  Once e^{-u}
+    underflows (u > 708) the value is scipy's noncentral chi-square
+    tail instead, for alpha**2 up to `MARCUM_MAX_NONCENTRALITY`.
     """
     if order < 0.5:
         raise ValueError(f"order must be >= 0.5, got {order}")
@@ -159,6 +164,8 @@ def marcum_q(order: float, alpha: float, beta: float) -> float:
     u = 0.5 * alpha * alpha
     if x == 0.0:
         return 1.0
+    if u > _SERIES_MAX_U:
+        return _marcum_q_ncx2(order, alpha, beta)
 
     # Upper-gamma start Q(order, x), then the recurrence
     # Q(s+1, x) = Q(s, x) + x^s e^{-x} / Gamma(s+1).
@@ -182,6 +189,21 @@ def marcum_q(order: float, alpha: float, beta: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
+def _marcum_q_ncx2(order: float, alpha: float, beta: float) -> float:
+    lam = alpha * alpha
+    if not lam <= MARCUM_MAX_NONCENTRALITY:
+        raise ValueError(
+            f"alpha**2 = {lam:.6g} exceeds {MARCUM_MAX_NONCENTRALITY:g}, where "
+            "the noncentral chi-square tail is no longer reliable"
+        )
+    from scipy.stats import ncx2  # imported here: scipy.stats loads slowly
+
+    q = float(ncx2.sf(beta * beta, 2.0 * order, lam))
+    if math.isnan(q):
+        raise ValueError(f"Q_{order}({alpha}, {beta}) evaluated to NaN")
+    return min(max(q, 0.0), 1.0)
+
+
 def p_d_awgn(params: DetectionParams, snr: float, m: int = 1) -> float:
     """Detection probability on an AWGN channel at linear SNR `snr`.
 
@@ -199,14 +221,15 @@ def p_d_awgn(params: DetectionParams, snr: float, m: int = 1) -> float:
 
 
 def snr_in_range(params: DetectionParams, kind: FadingKind, snr: float) -> bool:
-    """Whether the detection probability for `kind` is finite at linear `snr`.
+    """Whether the detection probability for `kind` is defined at linear `snr`.
 
-    `p_d_awgn` forms noncentrality*snr/sigma2 and `p_d_rayleigh_single`
-    forms x*noncentrality*snr with x = threshold/(2*sigma2).
+    `p_d_awgn` forms alpha**2 = noncentrality*snr/sigma2, which `marcum_q`
+    takes up to `MARCUM_MAX_NONCENTRALITY`; `p_d_rayleigh_single` forms
+    x*noncentrality*snr with x = threshold/(2*sigma2), which must be finite.
     """
     g = params.noncentrality * snr
     if kind is FadingKind.AWGN:
-        return math.isfinite(g / params.sigma2)
+        return g / params.sigma2 <= MARCUM_MAX_NONCENTRALITY
     return math.isfinite(params.threshold / (2.0 * params.sigma2) * g)
 
 

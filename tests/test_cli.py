@@ -213,18 +213,15 @@ class TestRunExperiment:
         for key in ("version=", "jdr_final_mean=", "snr_db=", "edges=",
                     "chains_rep0="):
             assert key in summary
-        # Resolved-geometry echo matches the actual run world.
-        record = run(SimConfig(seed=5, horizon=1, replications=1))
-        edges_line = next(
-            l for l in summary.splitlines() if l.startswith("edges=")
-        )
-        expected = ";".join(f"{i}-{j}" for i, j in record.edges)
-        assert edges_line == f"edges={expected}"
-        chains_line = next(
-            l for l in summary.splitlines() if l.startswith("chains_rep0=")
-        )
-        first = chains_line.split("=", 1)[1].split(";")[0].split(",")
-        assert float(first[0]) == pytest.approx(record.chain_params[0][0], abs=1e-6)
+        # Resolved-world echo matches replication 0's run, every entry.
+        record = run(small_curves[0][1], 0)
+        lines = summary.splitlines()
+        assert "snr_db=" + ",".join(f"{s:.4f}" for s in record.snr_db) in lines
+        assert "edges=" + ";".join(f"{i}-{j}" for i, j in record.edges) in lines
+        assert "chains_rep0=" + ";".join(
+            f"{idle:.6f},{active:.6f},{int(initial)}"
+            for idle, active, initial in record.chain_params
+        ) in lines
 
     def test_byte_identical_on_rerun(self, tmp_path, small_curves):
         run_experiment(small_curves, tmp_path / "a")
@@ -315,6 +312,8 @@ class TestMain:
             ({}, ["--replications", "0"], "replications"),
             ({}, ["--n-fb", "40000"], "n_fb"),
             (None, ["--preset", "tsr-local", "--horizon", "0"], "horizon"),
+            ({"detection": {"threshold": 1e6}}, [], "detection.threshold"),
+            ({"fading": "rayleigh", "grid_snr_max_db": 120.0}, [], "grid_snr_max_db"),
         ],
     )
     def test_invalid_input_exit_two_names_field(
@@ -368,6 +367,16 @@ class TestMain:
     def test_export_grid_command(self, tmp_path):
         assert main(["export-grid", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "grid_awgn.csv").exists()
+
+    def test_export_grid_undefined_table_exit_two(self, tmp_path, capsys):
+        # An AWGN config may carry a threshold where the Rayleigh table is NaN.
+        cfg = write_config(tmp_path, {"detection": {"threshold": 1e6}})
+        out_dir = tmp_path / "out"
+        assert main(["export-grid", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "detection.threshold" in err
+        assert not out_dir.exists()
 
 
 def test_preset_definitions_consistent():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from jamsense.engine import (
     SUCCESSFUL,
     SimConfig,
     _World,
+    _detection_probability,
+    _false_alarm_probability,
     _run_world,
     detection_counts,
     jammer_detection_ratio,
@@ -24,9 +27,19 @@ from jamsense.engine import (
     tsr_curve,
 )
 from jamsense.fusion import Belief
-from jamsense.network import Placement
+from jamsense.network import Placement, snr_at_node
 from jamsense.policies import PolicyKind
-from jamsense.sensing import DetectionParams, FadingKind, FalseAlarmTable
+from jamsense.sensing import (
+    DetectionParams,
+    FadingKind,
+    FalseAlarmTable,
+    build_awgn_grid,
+    build_rayleigh_grid,
+    false_alarm_probability,
+    p_d_awgn,
+    p_d_rayleigh_combined,
+    p_d_rayleigh_single,
+)
 
 from invariants import check_structural_invariants
 
@@ -216,6 +229,53 @@ def test_exact_mode_matches_grid_at_grid_points():
     # should coincide (SNR ~17 dB clamps to 15 dB in grid mode, where
     # both evaluate to ~1), so observations match.
     assert np.array_equal(grid_rec.observations, exact_rec.observations)
+
+
+@pytest.mark.parametrize("fading", list(FadingKind))
+@pytest.mark.parametrize("grid_lookup", [True, False])
+def test_world_tables_match_direct_evaluation(fading, grid_lookup):
+    # 12 nodes on 2 channels with global cohorts: cohorts exceed both
+    # grid_m_max = 6 and the largest listed false-alarm order.  At this
+    # threshold the exact AWGN p_d differs for every m up to 12.
+    config = SimConfig(
+        n_wn=12, n_fb=2, horizon=20, seed=67, fading=fading,
+        detection=DetectionParams(threshold=60.0),
+        grid_lookup=grid_lookup, global_cohort=True, replications=1,
+    )
+    world = forced_world(config, active=True)
+    n, params = config.n_wn, config.detection
+    snr = [snr_at_node(config.resolved_placement(), i, params.sigma2) for i in range(n)]
+    snr_range = (config.grid_snr_min_db, config.grid_snr_max_db, config.grid_snr_step_db)
+    if fading is FadingKind.AWGN:
+        grid = build_awgn_grid(params, *snr_range, config.grid_m_max)
+        direct = (
+            (lambda i, m: grid.lookup(10.0 * math.log10(snr[i]), m))
+            if grid_lookup
+            else (lambda i, m: p_d_awgn(params, snr[i], m))
+        )
+    else:
+        grid = build_rayleigh_grid(params, *snr_range)
+        single = (
+            (lambda j: grid.lookup(10.0 * math.log10(snr[j]), 1))
+            if grid_lookup
+            else (lambda j: p_d_rayleigh_single(params, snr[j]))
+        )
+    for i in range(n):
+        for m in range(1, n + 1):
+            cohort = [(i + k) % n for k in range(m)]
+            p = _detection_probability(world, cohort, i)
+            if fading is FadingKind.AWGN:
+                assert p == direct(i, m)
+            else:
+                expected = p_d_rayleigh_combined([single(j) for j in cohort])
+                assert p == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    for m in range(1, n + 1):
+        assert _false_alarm_probability(world, m) == false_alarm_probability(
+            config.false_alarm, fading, m
+        )
+    largest_fa_order = max(getattr(config.false_alarm, fading.value))
+    record = _run_world(world)
+    assert record.cohorts.max() > max(config.grid_m_max, largest_fa_order)
 
 
 def test_run_batch_single_replication_equals_run():

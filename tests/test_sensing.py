@@ -109,6 +109,21 @@ class TestMarcumQ:
         assert marcum_q(5, 1.0, 1e-170) == 1.0
         assert 0.0 <= marcum_q(5, 38.0, 45.0) <= 1.0
 
+    @pytest.mark.parametrize(
+        "alpha, beta, expected",
+        [
+            # Poisson-series sums at 60 digits (mpmath); e^{-alpha^2/2} underflows.
+            (40.0, 60.0, 1.7081004652578547632e-88),
+            (38.0, 45.0, 2.7642495397426432277e-12),
+        ],
+    )
+    def test_large_alpha_oracle(self, alpha, beta, expected):
+        assert marcum_q(5, alpha, beta) == pytest.approx(expected, rel=1e-6)
+
+    def test_beyond_reliable_noncentrality_raises(self):
+        with pytest.raises(ValueError, match="alpha"):
+            marcum_q(5, 1e6, 1e6)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             marcum_q(0.4, 1.0, 1.0)
