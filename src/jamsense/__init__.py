@@ -6,7 +6,6 @@ from .engine import (
     BatchResult,
     RunRecord,
     SimConfig,
-    StepRecord,
     jammer_detection_ratio,
     jdr_curve,
     run,
@@ -15,7 +14,7 @@ from .engine import (
     tsr_curve,
 )
 from .fusion import Belief, DecisionVector, Observation, SuperDecisionVector
-from .jammers import JammerChain, init_chains, truth_snapshot
+from .jammers import JammerChain, init_chains
 from .network import NeighborGraph, Placement, build_neighbor_graph, default_placement
 from .policies import PolicyInput, PolicyKind, QParams
 from .sensing import (
@@ -48,7 +47,6 @@ __all__ = [
     "QParams",
     "RunRecord",
     "SimConfig",
-    "StepRecord",
     "SuperDecisionVector",
     "build_awgn_grid",
     "build_neighbor_graph",
@@ -64,6 +62,5 @@ __all__ = [
     "run",
     "run_batch",
     "transmission_success_rate",
-    "truth_snapshot",
     "tsr_curve",
 ]

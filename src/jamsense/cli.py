@@ -206,12 +206,7 @@ def _build(cls, data, where: str):
 
 def config_from_dict(data: Dict, where: str = "config") -> SimConfig:
     """Build and validate a SimConfig from a plain dict (strict keys)."""
-    config = _build(SimConfig, data, where)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
-    return config
+    return _build(SimConfig, data, where)
 
 
 def _echo(value):
@@ -335,7 +330,7 @@ def _check_exportable(config: SimConfig) -> None:
             f"detection.threshold: threshold/sigma2 above "
             f"{RAYLEIGH_MAX_THRESHOLD_RATIO} makes grid_rayleigh.csv NaN"
         )
-    if not snr_in_range(d, FadingKind.AWGN, 10.0 ** (config.grid_snr_max_db / 10.0)):
+    if not snr_in_range(d, FadingKind.AWGN, 10.0 ** (config.grid_snr_top_db() / 10.0)):
         raise ConfigError("grid_snr_max_db: too large for grid_awgn.csv")
 
 
@@ -398,11 +393,9 @@ def run_experiment(
 ) -> List[Path]:
     """Run every (label, config) curve and write all artifacts.
 
-    Configs are validated before any file is created; on failure partway
+    Both tables are checked before any file is created; on failure partway
     through, files written so far are removed.
     """
-    for _, config in curves:
-        config.validate()
     _check_exportable(curves[0][1])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

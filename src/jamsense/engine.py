@@ -64,6 +64,7 @@ from .sensing import (
     false_alarm_probability,
     p_d_awgn,
     p_d_rayleigh_single,
+    snr_axis_points,
     snr_in_range,
 )
 
@@ -78,9 +79,13 @@ _INT16_MAX = np.iinfo(np.int16).max
 _GRID_MAX_ENTRIES = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Full description of one simulation scenario."""
+    """Full description of one simulation scenario.
+
+    Checked once, when built (also by `dataclasses.replace`), and immutable
+    afterwards, so every SimConfig that exists is a valid one.
+    """
 
     n_wn: int = 10
     n_fb: int = 10
@@ -106,6 +111,9 @@ class SimConfig:
     grid_snr_step_db: float = 1.0
     grid_m_max: int = 6
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         # Channel indices and cohort sizes are logged as int16.
         if not 1 <= self.n_wn <= _INT16_MAX:
@@ -127,10 +135,10 @@ class SimConfig:
             raise ValueError("grid SNR range is empty")
         if self.grid_m_max < 1:
             raise ValueError("grid_m_max must be >= 1")
-        snr_points = (
-            self.grid_snr_max_db - self.grid_snr_min_db
-        ) / self.grid_snr_step_db + 1
-        if snr_points * self.grid_m_max > _GRID_MAX_ENTRIES:
+        snr_points = snr_axis_points(
+            self.grid_snr_min_db, self.grid_snr_max_db, self.grid_snr_step_db
+        )
+        if not snr_points * self.grid_m_max <= _GRID_MAX_ENTRIES:
             raise ValueError(
                 f"detection grid of {snr_points:.6g} SNR points x grid_m_max="
                 f"{self.grid_m_max} exceeds {_GRID_MAX_ENTRIES} entries"
@@ -170,33 +178,27 @@ class SimConfig:
                     f"jammer SNR at placement node {i} is outside the range "
                     "the detection model can evaluate"
                 )
+        top_db = self.grid_snr_top_db()
         try:
-            top = 10.0 ** (self.grid_snr_max_db / 10.0)
+            top = 10.0 ** (top_db / 10.0)
         except OverflowError:
             top = math.inf
         if not snr_in_range(d, self.fading, top):
             raise ValueError(
-                f"grid_snr_max_db={self.grid_snr_max_db} is outside the range "
-                "the detection model can evaluate"
+                f"grid_snr_max_db={self.grid_snr_max_db} puts the grid's last "
+                f"point at {top_db:.6g} dB, outside the range the detection "
+                "model can evaluate"
             )
+
+    def grid_snr_top_db(self) -> float:
+        """SNR of the detection grid's last point, which `snr_axis_points` places."""
+        points = snr_axis_points(
+            self.grid_snr_min_db, self.grid_snr_max_db, self.grid_snr_step_db
+        )
+        return self.grid_snr_min_db + (points - 1) * self.grid_snr_step_db
 
     def resolved_placement(self) -> Placement:
         return self.placement if self.placement is not None else default_placement(self.n_wn)
-
-
-@dataclass
-class StepRecord:
-    """Per-step view of a run: truth plus every node's sub-slot data."""
-
-    time: int
-    truth: np.ndarray          # (n_fb,) bool
-    actions: np.ndarray        # (n_wn,) sensed channel
-    observations: np.ndarray   # (n_wn,) Belief verdict
-    cohorts: np.ndarray        # (n_wn,) diversity order m
-    decisions: np.ndarray      # (n_wn, n_fb) beliefs
-    supers: Optional[np.ndarray]  # (n_wn, n_fb) beliefs, None if disabled
-    transmits: np.ndarray      # (n_wn,) channel or -1 when skipped
-    outcomes: np.ndarray       # (n_wn,) SKIPPED / SUCCESSFUL / JAMMED
 
 
 @dataclass
@@ -220,19 +222,6 @@ class RunRecord:
 
     def __len__(self) -> int:
         return self.truth.shape[0]
-
-    def step(self, t: int) -> StepRecord:
-        return StepRecord(
-            time=t,
-            truth=self.truth[t],
-            actions=self.actions[t],
-            observations=self.observations[t],
-            cohorts=self.cohorts[t],
-            decisions=self.decisions[t],
-            supers=None if self.supers is None else self.supers[t],
-            transmits=self.transmits[t],
-            outcomes=self.outcomes[t],
-        )
 
 
 class _World:
@@ -462,7 +451,6 @@ def _run_world(world: _World) -> RunRecord:
 
 def run(config: SimConfig, replication: int = 0) -> RunRecord:
     """Execute one seeded run; `replication` selects the derived seed."""
-    config.validate()
     run_seed = rngmod.derive_seed(config.seed, rngmod.REPLICATION, replication)
     record = _run_world(_World(config, run_seed))
     record.replication = replication
@@ -609,7 +597,6 @@ def run_batch(config: SimConfig, workers: int = 1) -> BatchResult:
     results are independent of `workers`; curves are aggregated in
     replication order.
     """
-    config.validate()
     reps = config.replications
     tasks = [(config, r) for r in range(reps)]
     if workers > 1:

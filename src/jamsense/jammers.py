@@ -14,7 +14,7 @@ sub-slots of a step see one coherent truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -85,8 +85,3 @@ def step(chain: JammerChain, rng: Optional[np.random.Generator] = None) -> bool:
     else:
         chain.active = not (u < chain.stay_idle)
     return chain.active
-
-
-def truth_snapshot(chains: Sequence[JammerChain]) -> np.ndarray:
-    """Boolean occupancy per channel (True = occupied); pure read."""
-    return np.fromiter((c.active for c in chains), dtype=bool, count=len(chains))

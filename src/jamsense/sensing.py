@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Sequence
@@ -150,9 +151,13 @@ def marcum_q(order: float, alpha: float, beta: float) -> float:
 
     with u = alpha**2 / 2, truncated once the remaining Poisson mass
     drops below 1e-14.  Absolute error is within ~1e-12 for
-    order in [0.5, 64] and alpha, beta in [0, 12].  Once e^{-u}
-    underflows (u > 708) the value is scipy's noncentral chi-square
-    tail instead, for alpha**2 up to `MARCUM_MAX_NONCENTRALITY`.
+    order in [0.5, 64] and alpha, beta in [0, 12].  Where
+    x = beta**2 / 2 makes the first upper-gamma step subnormal
+    (x > ~730) the recurrence still keeps full precision, but tails
+    below ~1e-13 are then only bounded by the 1e-14 truncation
+    allowance.  Once e^{-u} underflows (u > 708) the value is scipy's
+    noncentral chi-square tail instead, for alpha**2 up to
+    `MARCUM_MAX_NONCENTRALITY`.
     """
     if order < 0.5:
         raise ValueError(f"order must be >= 0.5, got {order}")
@@ -168,9 +173,13 @@ def marcum_q(order: float, alpha: float, beta: float) -> float:
         return _marcum_q_ncx2(order, alpha, beta)
 
     # Upper-gamma start Q(order, x), then the recurrence
-    # Q(s+1, x) = Q(s, x) + x^s e^{-x} / Gamma(s+1).
+    # Q(s+1, x) = Q(s, x) + x^s e^{-x} / Gamma(s+1).  While the step is
+    # subnormal (x > ~730) it is re-formed from its logarithm, since
+    # multiplying a subnormal keeps only its few significant digits.
     q = float(special.gammaincc(order, x))
-    step = math.exp(order * math.log(x) - x - math.lgamma(order + 1.0))
+    log_step = order * math.log(x) - x - math.lgamma(order + 1.0)
+    step = math.exp(log_step)
+    carry_log = step < sys.float_info.min
 
     weight = math.exp(-u)  # Poisson weight at k = 0
     weight_sum = weight
@@ -179,7 +188,12 @@ def marcum_q(order: float, alpha: float, beta: float) -> float:
     while (1.0 - weight_sum) > _SERIES_TAIL and k < _SERIES_MAX_TERMS:
         k += 1
         q += step
-        step *= x / (order + k)
+        if carry_log:
+            log_step += math.log(x / (order + k))
+            step = math.exp(log_step)
+            carry_log = step < sys.float_info.min
+        else:
+            step *= x / (order + k)
         weight *= u / k
         weight_sum += weight
         total += weight * q
@@ -371,8 +385,18 @@ class ProbabilityGrid:
         return cls(snr_db=snr_db, diversity=tuple(diversity), values=values)
 
 
+def snr_axis_points(start: float, stop: float, step: float) -> float:
+    """Number of points of the grids' SNR axis from `start` toward `stop`.
+
+    The span is rounded to whole steps (ties to even), so the last point,
+    start + (points - 1)*step, may pass `stop` by up to half a step.  The
+    count is a float: an unchecked range can make it huge or infinite.
+    """
+    return float(np.rint((stop - start) / step)) + 1.0
+
+
 def _snr_axis(start: float, stop: float, step: float) -> tuple:
-    n = int(round((stop - start) / step)) + 1
+    n = int(snr_axis_points(start, stop, step))
     return tuple(start + i * step for i in range(n))
 
 

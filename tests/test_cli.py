@@ -314,6 +314,20 @@ class TestMain:
             (None, ["--preset", "tsr-local", "--horizon", "0"], "horizon"),
             ({"detection": {"threshold": 1e6}}, [], "detection.threshold"),
             ({"fading": "rayleigh", "grid_snr_max_db": 120.0}, [], "grid_snr_max_db"),
+            # The axis rounds to 162 steps of 0.6 dB: its last point is 97.2 dB,
+            # past the AWGN range that 96.9 dB is still inside.
+            (
+                {"grid_snr_max_db": 96.9, "grid_snr_step_db": 0.6,
+                 "replications": 1, "horizon": 2},
+                [],
+                "grid_snr_max_db",
+            ),
+            (
+                {"fading": "rayleigh", "grid_snr_max_db": 96.9,
+                 "grid_snr_step_db": 0.6, "replications": 1, "horizon": 2},
+                [],
+                "grid_snr_max_db",
+            ),
         ],
     )
     def test_invalid_input_exit_two_names_field(
@@ -327,6 +341,20 @@ class TestMain:
         assert err.startswith("config error:")
         assert field in err
         assert not (tmp_path / "out").exists()
+
+    def test_config_validated_once_per_curve(self, tmp_path, monkeypatch):
+        calls = []
+        validate = SimConfig.validate
+
+        def counted(config):
+            calls.append(config)
+            validate(config)
+
+        monkeypatch.setattr(SimConfig, "validate", counted)
+        argv = ["run", "--preset", "tsr-super", "--replications", "3",
+                "--horizon", "5", "--trace", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert len(calls) == len(PRESETS["tsr-super"].curves) == 3
 
     def test_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 2, "horizon": 20, "replications": 1})

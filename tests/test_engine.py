@@ -327,11 +327,17 @@ def test_run_batch_workers_equivalence():
 def test_step_view_and_len():
     record = run(SimConfig(horizon=25, seed=59, replications=1))
     assert len(record) == 25
-    view = record.step(7)
-    assert view.time == 7
-    assert np.array_equal(view.truth, record.truth[7])
-    assert np.array_equal(view.decisions, record.decisions[7])
-    assert view.supers is not None
+
+
+def test_config_is_frozen():
+    config = SimConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.n_wn = 0
+
+
+def test_replace_revalidates():
+    with pytest.raises(ValueError, match="n_wn"):
+        dataclasses.replace(SimConfig(), n_wn=0)
 
 
 def test_config_validation_errors():
@@ -374,6 +380,10 @@ def test_config_validation_errors():
         (dict(grid_snr_min_db=1e300, grid_snr_max_db=1e300), "grid_snr_max_db"),
         (dict(grid_snr_step_db=1e-3), "detection grid"),
         (dict(grid_m_max=10**9), "detection grid"),
+        # The axis' last point is 97.2 dB (162 steps of 0.6), not 96.9 dB.
+        (dict(grid_snr_max_db=96.9, grid_snr_step_db=0.6), "grid_snr_max_db"),
+        # inf - inf: a NaN point count is refused, not passed to int().
+        (dict(grid_snr_min_db=math.inf, grid_snr_max_db=math.inf), "detection grid"),
     ],
 )
 def test_config_validation_names_the_field(kwargs, message):

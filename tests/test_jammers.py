@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jamsense.jammers import JammerChain, init_chains, step, truth_snapshot
+from jamsense.jammers import JammerChain, init_chains, step
 
 # Pinned under the frozen seed-derivation contract (seed=123, bounds
 # 0.85..0.98); regenerate only if the RNG contract itself changes.
@@ -92,27 +92,6 @@ def test_empirical_transition_frequencies():
         state = new
     assert stay_idle / idle_visits == pytest.approx(0.9, abs=0.01)
     assert stay_active / active_visits == pytest.approx(0.95, abs=0.01)
-
-
-def test_snapshot_matches_states_and_is_pure():
-    chains = init_chains(6, (0.85, 0.98), seed=9)
-    chains[3].active = True
-    chains[2].active = False
-    snap1 = truth_snapshot(chains)
-    snap2 = truth_snapshot(chains)
-    assert np.array_equal(snap1, snap2)
-    assert snap1.dtype == bool
-    for k, chain in enumerate(chains):
-        assert snap1[k] == chain.active
-
-
-def test_snapshot_single_active():
-    chains = [
-        JammerChain(stay_idle=0.9, stay_active=0.9, active=(k == 3))
-        for k in range(5)
-    ]
-    snap = truth_snapshot(chains)
-    assert snap.tolist() == [False, False, False, True, False]
 
 
 def test_chain_validation():

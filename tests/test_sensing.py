@@ -115,10 +115,15 @@ class TestMarcumQ:
             # Poisson-series sums at 60 digits (mpmath); e^{-alpha^2/2} underflows.
             (40.0, 60.0, 1.7081004652578547632e-88),
             (38.0, 45.0, 2.7642495397426432277e-12),
+            # Same series at 50 digits; beta**2/2 = 760.5 makes the first
+            # upper-gamma step x^5 e^{-x}/5! subnormal.
+            (math.sqrt(1415.98), 39.0, 0.10509979803001510219),
         ],
     )
     def test_large_alpha_oracle(self, alpha, beta, expected):
-        assert marcum_q(5, alpha, beta) == pytest.approx(expected, rel=1e-6)
+        value = marcum_q(5, alpha, beta)
+        assert value == pytest.approx(expected, rel=1e-6)
+        assert abs(value - expected) <= 1e-12
 
     def test_beyond_reliable_noncentrality_raises(self):
         with pytest.raises(ValueError, match="alpha"):
