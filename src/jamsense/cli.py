@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import typing
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass
 from enum import Enum
 from pathlib import Path
@@ -39,14 +40,13 @@ from .engine import (
 )
 from .fusion import Belief
 from .network import Placement
+from .policies import QParams
 from .sensing import (
-    RAYLEIGH_MAX_THRESHOLD_RATIO,
     DetectionParams,
     FadingKind,
     FalseAlarmTable,
     build_awgn_grid,
     build_rayleigh_grid,
-    snr_in_range,
 )
 
 
@@ -111,16 +111,10 @@ PRESETS: Dict[str, ExperimentPreset] = {
 # Config <-> dict
 
 
-# The JSON schema is the dataclass fields themselves; the one exception is
-# the nested "qlearning" block, which holds the SimConfig `q_*` fields.
-_QLEARNING = {
-    "learning_rate": "q_learning_rate",
-    "discount": "q_discount",
-    "epsilon": "q_epsilon",
-}
+# The JSON schema is the dataclass fields themselves.
 _HINTS = {
     cls: typing.get_type_hints(cls)
-    for cls in (SimConfig, DetectionParams, FalseAlarmTable, Placement)
+    for cls in (SimConfig, QParams, DetectionParams, FalseAlarmTable, Placement)
 }
 # Leaf type -> (what the JSON value must be, test).  bool is a subclass of
 # int in Python, so the tests compare exact types.
@@ -182,18 +176,10 @@ def _cast(tp, value, where: str):
 def _build(cls, data, where: str):
     """Instantiate the config dataclass `cls` from a JSON object."""
     hints = _HINTS[cls]
-    keys = set(hints)
-    if cls is SimConfig:
-        keys = keys - set(_QLEARNING.values()) | {"qlearning"}
-    kwargs: Dict = {}
-    for key, value in _object(data, where, keys).items():
-        if key == "qlearning":
-            block = _object(value, f"{where}.qlearning", _QLEARNING)
-            for sub, v in block.items():
-                name = _QLEARNING[sub]
-                kwargs[name] = _cast(hints[name], v, f"{where}.qlearning.{sub}")
-        else:
-            kwargs[key] = _cast(hints[key], value, f"{where}.{key}")
+    kwargs = {
+        key: _cast(hints[key], value, f"{where}.{key}")
+        for key, value in _object(data, where, hints).items()
+    }
     for f in dataclasses.fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING
         if required and f.name not in kwargs:
@@ -219,7 +205,7 @@ def _echo(value):
         return value.value
     if isinstance(value, tuple):
         return [_echo(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(k): _echo(v) for k, v in sorted(value.items())}
     return value
 
@@ -228,7 +214,6 @@ def config_to_dict(config: SimConfig) -> Dict:
     """Full round-trippable echo of a config, placement resolved."""
     out = _echo(config)
     out["placement"] = _echo(config.resolved_placement())
-    out["qlearning"] = {key: out.pop(name) for key, name in _QLEARNING.items()}
     return out
 
 
@@ -324,14 +309,10 @@ def _write_trace_csv(path: Path, config: SimConfig) -> None:
 
 def _check_exportable(config: SimConfig) -> None:
     """Both tables are written whatever the fading, so both must be defined."""
-    d = config.detection
-    if d.threshold / d.sigma2 > RAYLEIGH_MAX_THRESHOLD_RATIO:
-        raise ConfigError(
-            f"detection.threshold: threshold/sigma2 above "
-            f"{RAYLEIGH_MAX_THRESHOLD_RATIO} makes grid_rayleigh.csv NaN"
-        )
-    if not snr_in_range(d, FadingKind.AWGN, 10.0 ** (config.grid_snr_top_db() / 10.0)):
-        raise ConfigError("grid_snr_max_db: too large for grid_awgn.csv")
+    try:
+        config.check_tables(*FadingKind)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def export_grid(config: SimConfig, out_dir) -> List[Path]:

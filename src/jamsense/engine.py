@@ -93,11 +93,9 @@ class SimConfig:
     fading: FadingKind = FadingKind.AWGN
     policy: PolicyKind = PolicyKind.PSEUDO_RANDOM
     epsilon_n: float = 0.1
-    q_learning_rate: float = 0.1
-    q_discount: float = 0.9
-    q_epsilon: float = 0.1
+    qlearning: QParams = field(default_factory=QParams)
     detection: DetectionParams = field(default_factory=DetectionParams)
-    false_alarm: FalseAlarmTable = field(default_factory=FalseAlarmTable.defaults)
+    false_alarm: FalseAlarmTable = field(default_factory=FalseAlarmTable)
     placement: Optional[Placement] = None  # None -> default two-ring layout
     jammer_bounds: Tuple[float, float] = (0.85, 0.98)
     use_super_decision: bool = True
@@ -143,26 +141,12 @@ class SimConfig:
                 f"detection grid of {snr_points:.6g} SNR points x grid_m_max="
                 f"{self.grid_m_max} exceeds {_GRID_MAX_ENTRIES} entries"
             )
-        if not 0.0 < self.q_learning_rate <= 1.0:
-            raise ValueError(f"q_learning_rate={self.q_learning_rate} outside (0, 1]")
-        if not 0.0 <= self.q_discount < 1.0:
-            raise ValueError(f"q_discount={self.q_discount} outside [0, 1)")
-        if not 0.0 <= self.q_epsilon <= 1.0:
-            raise ValueError(f"q_epsilon={self.q_epsilon} outside [0, 1]")
         if self.placement is not None and self.placement.n_nodes != self.n_wn:
             raise ValueError(
                 f"placement has {self.placement.n_nodes} nodes but n_wn={self.n_wn}"
             )
-        d = self.detection
-        if (
-            self.fading is FadingKind.RAYLEIGH
-            and d.threshold / d.sigma2 > RAYLEIGH_MAX_THRESHOLD_RATIO
-        ):
-            raise ValueError(
-                f"threshold/sigma2 = {d.threshold / d.sigma2:.6g} exceeds "
-                f"{RAYLEIGH_MAX_THRESHOLD_RATIO} under Rayleigh fading"
-            )
         # Every SNR the detection model may be evaluated at must be in range.
+        d = self.detection
         placement = self.resolved_placement()
         for i in range(self.n_wn):
             if jammer_distance_km(placement, i) == 0.0:
@@ -178,17 +162,29 @@ class SimConfig:
                     f"jammer SNR at placement node {i} is outside the range "
                     "the detection model can evaluate"
                 )
+        self.check_tables(self.fading)
+
+    def check_tables(self, *kinds: FadingKind) -> None:
+        """Raise ValueError unless each kind's detection table covers the grid."""
+        d = self.detection
+        ratio = d.threshold / d.sigma2
+        if FadingKind.RAYLEIGH in kinds and ratio > RAYLEIGH_MAX_THRESHOLD_RATIO:
+            raise ValueError(
+                f"detection.threshold: threshold/sigma2 = {ratio:.6g} exceeds "
+                f"{RAYLEIGH_MAX_THRESHOLD_RATIO}, where the Rayleigh table is NaN"
+            )
         top_db = self.grid_snr_top_db()
         try:
             top = 10.0 ** (top_db / 10.0)
         except OverflowError:
             top = math.inf
-        if not snr_in_range(d, self.fading, top):
-            raise ValueError(
-                f"grid_snr_max_db={self.grid_snr_max_db} puts the grid's last "
-                f"point at {top_db:.6g} dB, outside the range the detection "
-                "model can evaluate"
-            )
+        for kind in kinds:
+            if not snr_in_range(d, kind, top):
+                raise ValueError(
+                    f"grid_snr_max_db={self.grid_snr_max_db} puts the grid's last "
+                    f"point at {top_db:.6g} dB, outside the range the "
+                    f"{kind.value} detection model can evaluate"
+                )
 
     def grid_snr_top_db(self) -> float:
         """SNR of the detection grid's last point, which `snr_axis_points` places."""
@@ -328,13 +324,9 @@ def _run_world(world: _World) -> RunRecord:
 
     # Initial actions: one uniform channel per node.
     actions = [int(a) for a in world.policy_rng.integers(0, n_fb, size=n)]
-    q = (
-        QParams.create(
-            n, n_fb, config.q_learning_rate, config.q_discount, config.q_epsilon
-        )
-        if config.policy is PolicyKind.QLEARNING
-        else None
-    )
+    q = config.qlearning
+    # Action values per (node, channel), used by q-learning only.
+    q_table = np.zeros((n, n_fb)) if config.policy is PolicyKind.QLEARNING else None
     neighbors = world.graph.neighbors
     occupied, vacant = int(Belief.OCCUPIED), int(Belief.VACANT)
     chains = world.chains
@@ -381,11 +373,12 @@ def _run_world(world: _World) -> RunRecord:
         ]
 
         # Next actions from this step's observations and neighbor actions.
-        if q is not None:
+        if q_table is not None:
+            rewards = [1.0 if o == occupied else 0.0 for o in observations]
             for i in range(n):
-                update_q(q, i, actions[i], 1.0 if observations[i] == occupied else 0.0)
+                update_q(q, q_table, i, actions[i], rewards[i])
                 for j in neighbors[i]:
-                    update_q(q, i, actions[j], 1.0 if observations[j] == occupied else 0.0)
+                    update_q(q, q_table, i, actions[j], rewards[j])
         next_actions = []
         for i in range(n):
             inp = PolicyInput(
@@ -401,7 +394,7 @@ def _run_world(world: _World) -> RunRecord:
             elif config.policy is PolicyKind.UNIFORM:
                 next_actions.append(choose_action_uniform(inp))
             else:
-                next_actions.append(choose_action_qlearning(inp, q))
+                next_actions.append(choose_action_qlearning(inp, q, q_table))
 
         # Second-stage fusion: exchange decision vectors.
         supers: Optional[List[SuperDecisionVector]] = None
@@ -582,8 +575,8 @@ def _replicate(args: Tuple[SimConfig, int]) -> Tuple:
     successful, attempted = transmission_counts(record)
     world = (record.snr_db, record.edges, record.chain_params) if r == 0 else None
     return (
-        jdr_curve(record),
-        tsr_curve(record),
+        _prefix_ratio(detected, total),
+        _prefix_ratio(successful, attempted),
         bool(total.sum() > 0),
         bool(attempted.sum() > 0),
         world,

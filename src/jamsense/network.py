@@ -9,6 +9,7 @@ the transmission range (boundary inclusive).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -107,14 +108,27 @@ class NeighborGraph:
     neighbors: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        for i, nbrs in enumerate(self.neighbors):
-            for j in nbrs:
-                if j == i:
-                    raise ValueError(f"node {i} listed as its own neighbor")
-                if not 0 <= j < len(self.neighbors):
-                    raise ValueError(f"neighbor index {j} out of range")
-                if i not in self.neighbors[j]:
-                    raise ValueError(f"asymmetric edge ({i}, {j})")
+        # One entry per listed edge, in listing order, so the first bad edge
+        # is the one a per-edge loop would report.
+        n = len(self.neighbors)
+        rows = np.repeat(np.arange(n), [len(nbrs) for nbrs in self.neighbors])
+        cols = np.fromiter(
+            itertools.chain.from_iterable(self.neighbors), np.intp, rows.size
+        )
+        in_range = (cols >= 0) & (cols < n)
+        # Out-of-range entries are bad already; give them a harmless index.
+        safe = np.where(in_range, cols, rows)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[rows, safe] = True
+        bad = (rows == cols) | ~in_range | ~adj[safe, rows]
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j = int(rows[k]), int(cols[k])
+            if j == i:
+                raise ValueError(f"node {i} listed as its own neighbor")
+            if not 0 <= j < n:
+                raise ValueError(f"neighbor index {j} out of range")
+            raise ValueError(f"asymmetric edge ({i}, {j})")
 
     @property
     def n_nodes(self) -> int:
@@ -136,8 +150,8 @@ def build_neighbor_graph(placement: Placement) -> NeighborGraph:
         raise ValueError("placement must contain at least one node")
     pts = np.asarray(placement.nodes, dtype=float)
     delta = pts[:, None, :] - pts[None, :, :]
-    dist = np.hypot(delta[..., 0], delta[..., 1])
-    adj = dist <= placement.range_km
+    adj = np.hypot(delta[..., 0], delta[..., 1]) <= placement.range_km
+    del delta  # n x n x 2 floats; free them before the graph is built and checked
     np.fill_diagonal(adj, False)
     neighbors = tuple(
         tuple(int(j) for j in np.flatnonzero(adj[i])) for i in range(len(pts))

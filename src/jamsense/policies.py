@@ -19,7 +19,7 @@ fixed seed and fixed inputs they are replay-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
@@ -81,14 +81,13 @@ def choose_action_uniform(inp: PolicyInput) -> int:
     return int(inp.rng.integers(inp.n_channels))
 
 
-@dataclass
+@dataclass(frozen=True)
 class QParams:
-    """Per-node action-value table with its bandit hyperparameters."""
+    """Bandit hyperparameters of the q-learning policy."""
 
     learning_rate: float = 0.1
     discount: float = 0.9
     epsilon: float = 0.1
-    table: np.ndarray = field(default_factory=lambda: np.zeros((1, 1)))
 
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate <= 1.0:
@@ -97,40 +96,23 @@ class QParams:
             raise ValueError(f"discount={self.discount} outside [0, 1)")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon={self.epsilon} outside [0, 1]")
-        if not np.all(np.isfinite(self.table)):
-            raise ValueError("action-value table must be finite")
-
-    @classmethod
-    def create(
-        cls,
-        n_nodes: int,
-        n_channels: int,
-        learning_rate: float = 0.1,
-        discount: float = 0.9,
-        epsilon: float = 0.1,
-    ) -> "QParams":
-        return cls(
-            learning_rate=learning_rate,
-            discount=discount,
-            epsilon=epsilon,
-            table=np.zeros((n_nodes, n_channels)),
-        )
 
 
-def choose_action_qlearning(inp: PolicyInput, q: QParams) -> int:
+def choose_action_qlearning(inp: PolicyInput, q: QParams, table: np.ndarray) -> int:
     """Epsilon-greedy over the node's action values (ties: lowest index)."""
     if inp.rng.random() < q.epsilon:
         return int(inp.rng.integers(inp.n_channels))
-    return int(np.argmax(q.table[inp.node, : inp.n_channels]))
+    return int(np.argmax(table[inp.node, : inp.n_channels]))
 
 
-def update_q(q: QParams, node: int, action: int, reward: float) -> QParams:
+def update_q(
+    q: QParams, table: np.ndarray, node: int, action: int, reward: float
+) -> None:
     """One bandit-style update: Q += lr * (r + discount*max(Q_row) - Q).
 
     The bootstrap max is taken over the node's row before the update.
-    The table is updated in place; the same object is returned.
+    `table` (nodes x channels) is updated in place.
     """
-    row = q.table[node]
+    row = table[node]
     best = float(row.max())
     row[action] += q.learning_rate * (reward + q.discount * best - row[action])
-    return q

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+import types
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Sequence
@@ -100,6 +101,7 @@ class FalseAlarmTable:
     Lookup is total: orders above the largest listed entry use the last
     entry, orders between listed entries use the nearest entry at or
     below, and orders below the smallest listed entry use the smallest.
+    Both tables are copied into read-only mappings when built.
     """
 
     awgn: Dict[int, float] = field(
@@ -110,7 +112,9 @@ class FalseAlarmTable:
     )
 
     def __post_init__(self) -> None:
-        for kind, table in (("awgn", self.awgn), ("rayleigh", self.rayleigh)):
+        for kind in ("awgn", "rayleigh"):
+            table = types.MappingProxyType(dict(getattr(self, kind)))
+            object.__setattr__(self, kind, table)
             if not table:
                 raise ValueError(f"false-alarm table for {kind} is empty")
             for m, p in table.items():
@@ -119,9 +123,9 @@ class FalseAlarmTable:
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"p_fa={p} for m={m} outside [0, 1]")
 
-    @classmethod
-    def defaults(cls) -> "FalseAlarmTable":
-        return cls()
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild from plain dicts.
+        return (FalseAlarmTable, (dict(self.awgn), dict(self.rayleigh)))
 
 
 def false_alarm_probability(table: FalseAlarmTable, kind: FadingKind, m: int) -> float:

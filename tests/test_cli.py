@@ -20,7 +20,7 @@ from jamsense.cli import (
     run_experiment,
 )
 from jamsense.engine import SimConfig, run, run_batch
-from jamsense.policies import PolicyKind
+from jamsense.policies import PolicyKind, QParams
 from jamsense.sensing import FadingKind
 
 # Pinned after validating grid entries against the quadrature oracle
@@ -117,6 +117,7 @@ class TestParseConfig:
             ({"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0, 0]]}}, "node 1"),
             ({"n_fb": 40000}, "n_fb"),
             ({"n_wn": 40000}, "n_wn"),
+            ({"qlearning": {"epsilon": 1.5}}, "config.json.qlearning"),
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, data, field):
@@ -188,7 +189,8 @@ def test_config_from_dict_fuzz(mutations):
 
 def test_config_dict_round_trip():
     config = SimConfig(seed=9, n_fb=12, fading=FadingKind.RAYLEIGH,
-                       policy=PolicyKind.QLEARNING, epsilon_n=0.2)
+                       policy=PolicyKind.QLEARNING, epsilon_n=0.2,
+                       qlearning=QParams(learning_rate=0.3, discount=0.5, epsilon=0.2))
     echoed = config_from_dict(config_to_dict(config))
     assert config_to_dict(echoed) == config_to_dict(config)
 

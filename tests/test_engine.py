@@ -324,6 +324,21 @@ def test_run_batch_workers_equivalence():
     assert np.array_equal(seq.tsr_final, par.tsr_final)
 
 
+def test_run_batch_workers_equivalence_custom_false_alarms():
+    # The read-only table must survive the trip to a worker process.
+    config = SimConfig(
+        horizon=30,
+        seed=54,
+        replications=4,
+        false_alarm=FalseAlarmTable(awgn={2: 0.01, 4: 0.001}),
+    )
+    seq = run_batch(config, workers=1)
+    par = run_batch(config, workers=2)
+    assert np.array_equal(seq.jdr_mean, par.jdr_mean)
+    assert np.array_equal(seq.tsr_mean, par.tsr_mean)
+    assert np.array_equal(seq.tsr_final, par.tsr_final)
+
+
 def test_step_view_and_len():
     record = run(SimConfig(horizon=25, seed=59, replications=1))
     assert len(record) == 25
@@ -333,6 +348,21 @@ def test_config_is_frozen():
     config = SimConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.n_wn = 0
+
+
+def test_false_alarm_table_is_read_only():
+    config = SimConfig()
+    with pytest.raises(TypeError):
+        config.false_alarm.awgn[1] = 7.0
+
+
+def test_check_tables_covers_tables_the_run_does_not_build():
+    # Only the AWGN table is built, so the config is valid; the Rayleigh
+    # table would be NaN at this threshold.
+    config = SimConfig(detection=DetectionParams(threshold=1e6))
+    config.check_tables(FadingKind.AWGN)
+    with pytest.raises(ValueError, match="detection.threshold"):
+        config.check_tables(*FadingKind)
 
 
 def test_replace_revalidates():

@@ -113,6 +113,13 @@ class TestNeighborGraph:
             NeighborGraph(neighbors=((1,), ()))
         with pytest.raises(ValueError):
             NeighborGraph(neighbors=((0,),))
+        with pytest.raises(ValueError, match="out of range"):
+            NeighborGraph(neighbors=((5,), ()))
+        # Several faults: the first bad edge in listing order is reported.
+        with pytest.raises(ValueError, match=r"asymmetric edge \(0, 1\)"):
+            NeighborGraph(neighbors=((1,), (2,), (2,)))
+        with pytest.raises(ValueError, match="index -1 out of range"):
+            NeighborGraph(neighbors=((-1,), (1,)))
 
 
 class TestPlacement:

@@ -168,51 +168,51 @@ class TestUniform:
 
 class TestQLearning:
     def test_greedy_all_zero_table_picks_lowest_index(self):
-        q = QParams.create(2, 10, epsilon=0.0)
+        q, table = QParams(epsilon=0.0), np.zeros((2, 10))
         rng = np.random.default_rng(9)
-        assert choose_action_qlearning(make_input(rng=rng), q) == 0
+        assert choose_action_qlearning(make_input(rng=rng), q, table) == 0
 
     def test_argmax_ties_break_low(self):
-        q = QParams.create(1, 5, epsilon=0.0)
-        q.table[0] = [0.0, 2.0, 2.0, 1.0, 0.0]
-        assert choose_action_qlearning(make_input(n_channels=5), q) == 1
+        q, table = QParams(epsilon=0.0), np.zeros((1, 5))
+        table[0] = [0.0, 2.0, 2.0, 1.0, 0.0]
+        assert choose_action_qlearning(make_input(n_channels=5), q, table) == 1
 
     def test_argmax_invariant_under_positive_scaling(self):
-        q = QParams.create(1, 6, epsilon=0.0)
+        q, table = QParams(epsilon=0.0), np.zeros((1, 6))
         rng = np.random.default_rng(10)
-        q.table[0] = rng.uniform(0, 1, 6)
-        before = choose_action_qlearning(make_input(n_channels=6), q)
-        q.table[0] *= 37.0
-        assert choose_action_qlearning(make_input(n_channels=6), q) == before
+        table[0] = rng.uniform(0, 1, 6)
+        before = choose_action_qlearning(make_input(n_channels=6), q, table)
+        table[0] *= 37.0
+        assert choose_action_qlearning(make_input(n_channels=6), q, table) == before
 
     def test_single_channel_fixed_point(self):
         # Constant reward 1 on the only channel: Q -> r / (1 - discount).
-        q = QParams.create(1, 1, learning_rate=0.5, discount=0.9)
+        q, table = QParams(learning_rate=0.5, discount=0.9), np.zeros((1, 1))
         for _ in range(2000):
-            update_q(q, 0, 0, 1.0)
-        assert q.table[0, 0] == pytest.approx(1.0 / (1.0 - 0.9), rel=1e-9)
+            update_q(q, table, 0, 0, 1.0)
+        assert table[0, 0] == pytest.approx(1.0 / (1.0 - 0.9), rel=1e-9)
 
     def test_update_rule_arithmetic(self):
-        q = QParams.create(1, 3, learning_rate=0.25, discount=0.5)
-        q.table[0] = [1.0, 4.0, 2.0]
-        update_q(q, 0, 2, 1.0)
+        q, table = QParams(learning_rate=0.25, discount=0.5), np.zeros((1, 3))
+        table[0] = [1.0, 4.0, 2.0]
+        update_q(q, table, 0, 2, 1.0)
         # target = r + discount * max(row) = 1 + 0.5*4 = 3; Q += 0.25*(3-2)
-        assert q.table[0, 2] == pytest.approx(2.25)
+        assert table[0, 2] == pytest.approx(2.25)
 
     def test_epsilon_one_explores_uniformly(self):
-        q = QParams.create(1, 8, epsilon=1.0)
-        q.table[0, 3] = 100.0
+        q, table = QParams(epsilon=1.0), np.zeros((1, 8))
+        table[0, 3] = 100.0
         rng = np.random.default_rng(11)
         seen = {
-            choose_action_qlearning(make_input(n_channels=8, rng=rng), q)
+            choose_action_qlearning(make_input(n_channels=8, rng=rng), q, table)
             for _ in range(400)
         }
         assert seen == set(range(8))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            QParams.create(1, 2, learning_rate=0.0)
+            QParams(learning_rate=0.0)
         with pytest.raises(ValueError):
-            QParams.create(1, 2, discount=1.0)
+            QParams(discount=1.0)
         with pytest.raises(ValueError):
-            QParams.create(1, 2, epsilon=-0.1)
+            QParams(epsilon=-0.1)

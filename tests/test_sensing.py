@@ -1,6 +1,8 @@
 """Detection-math tests: Marcum Q, closed forms, tables, grids."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -248,13 +250,13 @@ class TestPdRayleighCombined:
 
 class TestFalseAlarms:
     def test_reference_values(self):
-        table = FalseAlarmTable.defaults()
+        table = FalseAlarmTable()
         assert false_alarm_probability(table, FadingKind.AWGN, 1) == 0.0015
         assert false_alarm_probability(table, FadingKind.RAYLEIGH, 3) == 0.03
         assert false_alarm_probability(table, FadingKind.RAYLEIGH, 9) == 0.001
 
     def test_awgn_clamps_above_two(self):
-        table = FalseAlarmTable.defaults()
+        table = FalseAlarmTable()
         for m in (2, 3, 6, 50):
             assert false_alarm_probability(table, FadingKind.AWGN, m) == 1e-7
 
@@ -271,7 +273,21 @@ class TestFalseAlarms:
         with pytest.raises(ValueError):
             FalseAlarmTable(awgn={1: 1.5}, rayleigh={1: 0.5})
         with pytest.raises(ValueError):
-            false_alarm_probability(FalseAlarmTable.defaults(), FadingKind.AWGN, 0)
+            false_alarm_probability(FalseAlarmTable(), FadingKind.AWGN, 0)
+
+    def test_copies_the_caller_dicts(self):
+        awgn = {1: 0.5}
+        table = FalseAlarmTable(awgn=awgn, rayleigh={1: 0.9})
+        awgn[1] = 0.75
+        awgn[2] = 0.25
+        assert dict(table.awgn) == {1: 0.5}
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        table = FalseAlarmTable(awgn={2: 0.01, 4: 0.001})
+        for copied in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert copied == table
+            with pytest.raises(TypeError):
+                copied.awgn[2] = 0.5
 
 
 class TestProbabilityGrid:
