@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .fusion import (
     Observation,
     SuperDecisionVector,
     candidate_channels,
-    fuse_decisions,
     fuse_observations,
 )
 from .jammers import init_chains, step as step_chain
@@ -262,44 +261,19 @@ class _World:
         else:
             columns = 1
             p_d = lambda i, m: p_d_rayleigh_single(params, self.snr_linear[i])
-        self.pd_rows = [[p_d(i, m) for m in range(1, columns + 1)] for i in range(n)]
-        if not awgn:
-            # log(1 - p) per node; cohort combining sums these.
-            with np.errstate(divide="ignore"):
-                self.log_miss_list = np.log1p(
-                    -np.array([row[0] for row in self.pd_rows])
-                ).tolist()
+        self.p_d = np.array(
+            [[p_d(i, m) for m in range(1, columns + 1)] for i in range(n)]
+        )
+        # log(1 - p) per node; Rayleigh cohort combining sums these.
+        with np.errstate(divide="ignore"):
+            self.log_miss = np.log1p(-self.p_d[:, 0])
 
         # False-alarm probability per m, up to the largest listed order.
         fa = config.false_alarm
-        self.fa_list = [
+        self.p_fa = np.array([
             false_alarm_probability(fa, config.fading, m)
             for m in range(1, min(n, max(fa.awgn if awgn else fa.rayleigh)) + 1)
-        ]
-
-
-def _cohort(world: _World, actions: Sequence[int], node: int) -> List[int]:
-    """Nodes whose simultaneous sensing defines m for this node's channel."""
-    channel = actions[node]
-    if world.config.global_cohort:
-        mates = [j for j in range(world.config.n_wn) if actions[j] == channel]
-        return mates
-    mates = [node]
-    mates.extend(j for j in world.graph.neighbors[node] if actions[j] == channel)
-    return mates
-
-
-def _detection_probability(world: _World, cohort: List[int], node: int) -> float:
-    if world.config.fading is FadingKind.AWGN:
-        row = world.pd_rows[node]
-        return row[min(len(cohort), len(row)) - 1]
-    # Rayleigh: combine the cohort members' individual averages.
-    log_miss = world.log_miss_list
-    return -math.expm1(sum(log_miss[j] for j in cohort))
-
-
-def _false_alarm_probability(world: _World, m: int) -> float:
-    return world.fa_list[min(m, len(world.fa_list)) - 1]
+        ])
 
 
 def _run_world(world: _World) -> RunRecord:
@@ -327,7 +301,11 @@ def _run_world(world: _World) -> RunRecord:
     q = config.qlearning
     # Action values per (node, channel), used by q-learning only.
     q_table = np.zeros((n, n_fb)) if config.policy is PolicyKind.QLEARNING else None
-    neighbors = world.graph.neighbors
+    graph = world.graph
+    neighbors = graph.neighbors
+    fuse_index, starts, owner = graph.fuse_index, graph.fuse_starts, graph.fuse_owner
+    nodes = np.arange(n)
+    awgn = config.fading is FadingKind.AWGN
     occupied, vacant = int(Belief.OCCUPIED), int(Belief.VACANT)
     chains = world.chains
     policy_rng = world.policy_rng
@@ -345,20 +323,38 @@ def _run_world(world: _World) -> RunRecord:
         # decides every co-sensing node's verdict (comonotone coupling:
         # cohort mates with equal probabilities get one shared verdict);
         # otherwise each node draws independently.
-        draws = world.sensing_rng.random(n_fb if config.shared_draw else n).tolist()
-        observations = []
-        cohorts = []
-        for i in range(n):
-            cohort = _cohort(world, actions, i)
-            m = len(cohort)
-            cohorts.append(m)
-            channel = actions[i]
-            if truth[channel]:
-                p = _detection_probability(world, cohort, i)
+        draws = world.sensing_rng.random(n_fb if config.shared_draw else n)
+        acts = np.array(actions)
+        # Cohort: the nodes whose simultaneous sensing of a node's channel
+        # sets its diversity order m.  Locally that is the node and its
+        # co-sensing neighbours (segment order: the node first); globally,
+        # every co-sensing node in index order.
+        if config.global_cohort:
+            cohorts = np.bincount(acts, minlength=n_fb)[acts]
+        else:
+            same = acts[fuse_index] == acts[owner]
+            cohorts = np.add.reduceat(same, starts)
+        jammed = np.array(truth)[acts]
+        p = world.p_fa[np.minimum(cohorts, len(world.p_fa)) - 1]
+        if awgn:
+            p_d = world.p_d[nodes, np.minimum(cohorts, world.p_d.shape[1]) - 1]
+            p = np.where(jammed, p_d, p)
+        else:
+            # Rayleigh: the cohort misses only if every member does.  The
+            # log-miss sums add in cohort order; the combining stays scalar
+            # libm expm1, which numpy's vector expm1 need not match bit for bit.
+            if config.global_cohort:
+                log_miss = np.bincount(
+                    acts, weights=world.log_miss, minlength=n_fb
+                )[acts]
             else:
-                p = _false_alarm_probability(world, m)
-            u = draws[channel] if config.shared_draw else draws[i]
-            observations.append(occupied if u < p else vacant)
+                log_miss = np.bincount(
+                    owner[same], weights=world.log_miss[fuse_index[same]], minlength=n
+                )
+            for i in np.flatnonzero(jammed).tolist():
+                p[i] = -math.expm1(log_miss[i])
+        u = draws[acts] if config.shared_draw else draws
+        observations = np.where(u < p, occupied, vacant).tolist()
 
         # Collaboration sub-slot: exchange observations, fuse decisions.
         obs_objects = [
@@ -396,16 +392,20 @@ def _run_world(world: _World) -> RunRecord:
             else:
                 next_actions.append(choose_action_qlearning(inp, q, q_table))
 
-        # Second-stage fusion: exchange decision vectors.
-        supers: Optional[List[SuperDecisionVector]] = None
-        if config.use_super_decision:
-            supers = [
-                fuse_decisions(decisions[i], [decisions[j] for j in neighbors[i]])
-                for i in range(n)
+        # Second-stage fusion: exchange decision vectors; each node's super
+        # vector is the elementwise max over its segment of the fuse index.
+        decision_log[t] = [d.beliefs for d in decisions]
+        governing = decisions
+        if super_log is not None:
+            super_log[t] = np.maximum.reduceat(
+                decision_log[t][fuse_index], starts, axis=0
+            )
+            governing = [
+                SuperDecisionVector(beliefs=row, owner=i, time=t)
+                for i, row in enumerate(super_log[t])
             ]
 
         # Transmission sub-slot.
-        governing = supers if supers is not None else decisions
         for i in range(n):
             cands = candidate_channels(governing[i])
             if not cands:
@@ -418,10 +418,6 @@ def _run_world(world: _World) -> RunRecord:
         action_log[t] = actions
         obs_log[t] = observations
         cohort_log[t] = cohorts
-        for i in range(n):
-            decision_log[t, i] = decisions[i].beliefs
-            if super_log is not None:
-                super_log[t, i] = supers[i].beliefs
         actions = next_actions
 
     return RunRecord(

@@ -92,7 +92,12 @@ def fuse_observations(
 def fuse_decisions(
     own: DecisionVector, neighbor_vectors: Sequence[DecisionVector]
 ) -> SuperDecisionVector:
-    """Elementwise OR of decision vectors with UNKNOWN as neutral element."""
+    """Elementwise OR of decision vectors with UNKNOWN as neutral element.
+
+    The engine computes every node's super vector at once, as one
+    `np.maximum.reduceat` over `NeighborGraph.fuse_index`; this function is
+    the reference the tests check those vectors against.
+    """
     merged = own.beliefs.copy()
     for vec in neighbor_vectors:
         if len(vec.beliefs) != len(merged):

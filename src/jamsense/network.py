@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
+
+# Rows of the pairwise-distance block `build_neighbor_graph` holds at once.
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -103,32 +106,41 @@ def snr_at_node(placement: Placement, node: int, noise_var: float = 1.0) -> floa
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Symmetric, irreflexive adjacency as per-node sorted index tuples."""
+    """Symmetric, irreflexive adjacency as per-node sorted index tuples.
+
+    Also holds the "self, then neighbours" index in compressed sparse row
+    form: segment i of `fuse_index` starts at `fuse_starts[i]` and lists
+    node i, then its neighbours in listed order; `fuse_owner[k]` is the
+    node whose segment holds entry k.  Per-node reductions over a node and
+    its neighbours are one `reduceat` or `bincount` over these arrays.
+    """
 
     neighbors: Tuple[Tuple[int, ...], ...]
+    fuse_index: np.ndarray = field(init=False, repr=False, compare=False)
+    fuse_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    fuse_owner: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # One entry per listed edge, in listing order, so the first bad edge
-        # is the one a per-edge loop would report.
         n = len(self.neighbors)
-        rows = np.repeat(np.arange(n), [len(nbrs) for nbrs in self.neighbors])
+        degrees = np.fromiter(map(len, self.neighbors), np.intp, n)
         cols = np.fromiter(
-            itertools.chain.from_iterable(self.neighbors), np.intp, rows.size
+            itertools.chain.from_iterable(self.neighbors), np.intp, degrees.sum()
         )
-        in_range = (cols >= 0) & (cols < n)
-        # Out-of-range entries are bad already; give them a harmless index.
-        safe = np.where(in_range, cols, rows)
-        adj = np.zeros((n, n), dtype=bool)
-        adj[rows, safe] = True
-        bad = (rows == cols) | ~in_range | ~adj[safe, rows]
-        if bad.any():
-            k = int(np.argmax(bad))
-            i, j = int(rows[k]), int(cols[k])
-            if j == i:
-                raise ValueError(f"node {i} listed as its own neighbor")
-            if not 0 <= j < n:
-                raise ValueError(f"neighbor index {j} out of range")
-            raise ValueError(f"asymmetric edge ({i}, {j})")
+        # The check's n x n adjacency is freed before the index is built.
+        _check_edges(np.repeat(np.arange(n), degrees), cols, n)
+
+        starts = np.zeros(n, np.intp)
+        np.cumsum(degrees[:-1] + 1, out=starts[1:])
+        owner = np.repeat(np.arange(n), degrees + 1)
+        index = owner.copy()
+        is_neighbor = np.ones(index.size, dtype=bool)
+        is_neighbor[starts] = False
+        index[is_neighbor] = cols
+        for name, value in (
+            ("fuse_index", index), ("fuse_starts", starts), ("fuse_owner", owner)
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
@@ -144,16 +156,39 @@ class NeighborGraph:
         return tuple(out)
 
 
+def _check_edges(rows: np.ndarray, cols: np.ndarray, n: int) -> None:
+    """Raise ValueError for the first listed edge (rows[k], cols[k]) of an
+    n-node graph that is a self-loop, out of range or missing its reverse.
+
+    The edges come in listing order, so the first bad edge is the one a
+    per-edge loop would report.
+    """
+    in_range = (cols >= 0) & (cols < n)
+    # Out-of-range entries are bad already; give them a harmless index.
+    safe = np.where(in_range, cols, rows)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[rows, safe] = True
+    bad = (rows == cols) | ~in_range | ~adj[safe, rows]
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = int(rows[k]), int(cols[k])
+        if j == i:
+            raise ValueError(f"node {i} listed as its own neighbor")
+        if not 0 <= j < n:
+            raise ValueError(f"neighbor index {j} out of range")
+        raise ValueError(f"asymmetric edge ({i}, {j})")
+
+
 def build_neighbor_graph(placement: Placement) -> NeighborGraph:
     """Edge (i, j) iff euclidean distance <= transmission range, i != j."""
     if placement.n_nodes < 1:
         raise ValueError("placement must contain at least one node")
-    pts = np.asarray(placement.nodes, dtype=float)
-    delta = pts[:, None, :] - pts[None, :, :]
-    adj = np.hypot(delta[..., 0], delta[..., 1]) <= placement.range_km
-    del delta  # n x n x 2 floats; free them before the graph is built and checked
-    np.fill_diagonal(adj, False)
-    neighbors = tuple(
-        tuple(int(j) for j in np.flatnonzero(adj[i])) for i in range(len(pts))
-    )
-    return NeighborGraph(neighbors=neighbors)
+    x, y = np.asarray(placement.nodes, dtype=float).T
+    neighbors = []
+    for lo in range(0, x.size, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        adj = np.hypot(x[block, None] - x, y[block, None] - y) <= placement.range_km
+        for i, row in enumerate(adj, start=lo):
+            row[i] = False
+            neighbors.append(tuple(np.flatnonzero(row).tolist()))
+    return NeighborGraph(neighbors=tuple(neighbors))

@@ -14,8 +14,6 @@ from jamsense.engine import (
     SUCCESSFUL,
     SimConfig,
     _World,
-    _detection_probability,
-    _false_alarm_probability,
     _run_world,
     detection_counts,
     jammer_detection_ratio,
@@ -27,7 +25,7 @@ from jamsense.engine import (
     tsr_curve,
 )
 from jamsense.fusion import Belief
-from jamsense.network import Placement, snr_at_node
+from jamsense.network import Placement, default_placement, snr_at_node
 from jamsense.policies import PolicyKind
 from jamsense.sensing import (
     DetectionParams,
@@ -260,17 +258,21 @@ def test_world_tables_match_direct_evaluation(fading, grid_lookup):
             if grid_lookup
             else (lambda j: p_d_rayleigh_single(params, snr[j]))
         )
+    # The step reads p_d at column min(m, columns) - 1 (AWGN) or sums the
+    # cohort's log-miss values (Rayleigh), and p_fa at min(m, len) - 1.
+    columns, fa_orders = world.p_d.shape[1], len(world.p_fa)
     for i in range(n):
         for m in range(1, n + 1):
             cohort = [(i + k) % n for k in range(m)]
-            p = _detection_probability(world, cohort, i)
             if fading is FadingKind.AWGN:
+                p = world.p_d[i, min(m, columns) - 1]
                 assert p == direct(i, m)
             else:
+                p = -math.expm1(sum(world.log_miss[j] for j in cohort))
                 expected = p_d_rayleigh_combined([single(j) for j in cohort])
                 assert p == pytest.approx(expected, rel=1e-12, abs=1e-15)
     for m in range(1, n + 1):
-        assert _false_alarm_probability(world, m) == false_alarm_probability(
+        assert world.p_fa[min(m, fa_orders) - 1] == false_alarm_probability(
             config.false_alarm, fading, m
         )
     largest_fa_order = max(getattr(config.false_alarm, fading.value))
@@ -431,17 +433,73 @@ def test_chain_count_follows_band_size():
     assert len(record.chain_params) == 14
 
 
+def record_sha256(record) -> str:
+    digest = hashlib.sha256()
+    for field in ("truth", "actions", "observations", "cohorts",
+                  "decisions", "supers", "transmits", "outcomes"):
+        value = getattr(record, field)
+        if value is not None:  # supers with super-decision off
+            digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
 def test_record_regression_hash():
     # Guards the full trajectory contract (RNG derivation, step order,
     # sampling layout) under the default scenario.
     record = run(SimConfig(horizon=300, seed=2024, replications=1))
-    digest = hashlib.sha256()
-    for field in ("truth", "actions", "observations", "cohorts",
-                  "decisions", "supers", "transmits", "outcomes"):
-        digest.update(np.ascontiguousarray(getattr(record, field)).tobytes())
-    assert digest.hexdigest() == PINNED_RECORD_SHA256
+    assert record_sha256(record) == PINNED_RECORD_SHA256
 
 
 PINNED_RECORD_SHA256 = (
     "da3861139280a92d05562be7c4e4b9c29a0765ddd229875406097a1de977f1d8"
 )
+
+# Nine ring nodes plus one 0.6 km beyond the outer ring: node 9 has no
+# neighbours, so its cohort, decision and super-decision involve it alone.
+ISOLATED_PLACEMENT = Placement(
+    nodes=default_placement(9).nodes + ((0.0, -1.2),)
+)
+
+# Modes the default-scenario hash does not reach.  Rayleigh cohorts sum
+# their members' log-miss values, so these hashes also pin that order.
+MODE_MATRIX = {
+    "rayleigh-global": dict(n_wn=40, fading=FadingKind.RAYLEIGH, global_cohort=True),
+    "rayleigh-local": dict(n_wn=40, fading=FadingKind.RAYLEIGH),
+    "rayleigh-exact-independent": dict(
+        n_wn=40, fading=FadingKind.RAYLEIGH, grid_lookup=False, shared_draw=False
+    ),
+    "independent-draws": dict(shared_draw=False),
+    "no-super-decision": dict(use_super_decision=False),
+    "global-qlearning": dict(global_cohort=True, policy=PolicyKind.QLEARNING),
+    "isolated-node": dict(placement=ISOLATED_PLACEMENT),
+    "isolated-node-rayleigh": dict(
+        placement=ISOLATED_PLACEMENT, fading=FadingKind.RAYLEIGH
+    ),
+    "one-channel": dict(n_fb=1),
+}
+
+
+def mode_config(mode: str) -> SimConfig:
+    return SimConfig(horizon=60, seed=2025, replications=1, **MODE_MATRIX[mode])
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_MATRIX))
+def test_mode_matrix_invariants_and_pinned_hash(mode):
+    record = run(mode_config(mode))
+    if mode.startswith("isolated-node"):
+        assert record.cohorts[:, 9].max() == 1
+    assert check_structural_invariants(record) > 0
+    assert record_sha256(record) == PINNED_MODE_SHA256[mode]
+
+
+PINNED_MODE_SHA256 = {
+    "global-qlearning": "2a3a1e228579fca5cc6148d89e554d66f453027cc16da44739645138e854fd95",
+    "independent-draws": "b78834ccdd27fc8260835e119117fd14d4da0b6ef9799eb36b662f56822579c0",
+    "isolated-node": "4db5d8f09668889e79ef955971910f421b6c19df293b203fec5dfdd51041154b",
+    "isolated-node-rayleigh": "8daff374580caa2837fd16afe689947b0cc11478773c0aa7b078cc279704fafd",
+    "no-super-decision": "bec9068468b82ed56dc0993910bc6036754b6c35f2c530b7ce8bb8d530216882",
+    "one-channel": "e317c8c61d8d0c72ef55f8338611820d4f202c9984eb609b2d5a45abc0b30903",
+    "rayleigh-exact-independent": "0dd64330498974eb5e51f9d70699ca3934b12debafcf16cc360394e4ba0690d9",
+    "rayleigh-global": "96a50c9ca151ae56f823cb62a7818e93042c9a3ebc6921483d575aef7db677af",
+    "rayleigh-local": "6fd29570d6dbad253a5ed8d9f7fe341033cddb2a79278acdddcbb3d55eaecb25",
+}
