@@ -25,20 +25,14 @@ import typing
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from . import __version__
-from .engine import (
-    BatchResult,
-    JAMMED,
-    SKIPPED,
-    SUCCESSFUL,
-    SimConfig,
-    run,
-    run_batch,
-)
-from .fusion import Belief
+from .engine import BatchResult, SimConfig, run, run_batch
 from .network import Placement
 from .policies import QParams
 from .sensing import (
@@ -268,13 +262,31 @@ def _write_metrics_csv(path: Path, batch: BatchResult) -> None:
             )
 
 
-_VERDICT_CHARS = {Belief.UNKNOWN: "U", Belief.VACANT: "V", Belief.OCCUPIED: "O"}
-_OUTCOME_NAMES = {SKIPPED: "skipped", SUCCESSFUL: "successful", JAMMED: "jammed"}
+# Text of each logged code, indexed by the code.  Beliefs (UNKNOWN, VACANT,
+# OCCUPIED) and outcomes (SKIPPED, SUCCESSFUL, JAMMED) are both coded 0, 1, 2.
+_BELIEF_BYTES = np.frombuffer(b"UVO", np.uint8)
+_OUTCOME_TEXT = np.array(["skipped", "successful", "jammed"], dtype=object)
+
+
+def _belief_strings(log: np.ndarray) -> np.ndarray:
+    """One U/V/O byte string per row of the last axis of a belief log."""
+    return _BELIEF_BYTES[log].view(f"S{log.shape[-1]}")[..., 0]
 
 
 def _write_trace_csv(path: Path, config: SimConfig) -> None:
-    """Full node-step trace of replication 0 for the given config."""
+    """Full node-step trace of replication 0 for the given config.
+
+    Each column is built for the whole record by array lookups; the rows of
+    one step are then written together from `.tolist()` slices.
+    """
     record = run(config, replication=0)
+    tau = _BELIEF_BYTES[record.observations].view("S1")
+    transmit = record.transmits.astype(object)
+    transmit[record.transmits < 0] = ""
+    outcome = _OUTCOME_TEXT[record.outcomes]
+    decision = _belief_strings(record.decisions)
+    supers = None if record.supers is None else _belief_strings(record.supers)
+    nodes = range(config.n_wn)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -282,29 +294,19 @@ def _write_trace_csv(path: Path, config: SimConfig) -> None:
              "outcome", "decision", "super_decision"]
         )
         for t in range(len(record)):
-            for i in range(config.n_wn):
-                beliefs = "".join(
-                    _VERDICT_CHARS[b] for b in record.decisions[t, i]
+            writer.writerows(
+                zip(
+                    repeat(t),
+                    nodes,
+                    record.actions[t].tolist(),
+                    record.cohorts[t].tolist(),
+                    tau[t].astype(str).tolist(),
+                    transmit[t].tolist(),
+                    outcome[t].tolist(),
+                    decision[t].astype(str).tolist(),
+                    repeat("") if supers is None else supers[t].astype(str).tolist(),
                 )
-                supers = (
-                    ""
-                    if record.supers is None
-                    else "".join(_VERDICT_CHARS[b] for b in record.supers[t, i])
-                )
-                transmit = record.transmits[t, i]
-                writer.writerow(
-                    [
-                        t,
-                        i,
-                        int(record.actions[t, i]),
-                        int(record.cohorts[t, i]),
-                        _VERDICT_CHARS[record.observations[t, i]],
-                        "" if transmit < 0 else int(transmit),
-                        _OUTCOME_NAMES[int(record.outcomes[t, i])],
-                        beliefs,
-                        supers,
-                    ]
-                )
+            )
 
 
 def _check_exportable(config: SimConfig) -> None:

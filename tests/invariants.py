@@ -26,10 +26,10 @@ def check_structural_invariants(record: RunRecord) -> int:
     config = record.config
     graph = build_neighbor_graph(config.resolved_placement())
     n, n_fb = config.n_wn, config.n_fb
+    vacant, occupied = int(Belief.VACANT), int(Belief.OCCUPIED)
     checks = 0
 
     for t in range(len(record)):
-        truth = record.truth[t]
         actions = record.actions[t]
         observations = record.observations[t]
 
@@ -63,23 +63,18 @@ def check_structural_invariants(record: RunRecord) -> int:
             )
             for i in range(n)
         ]
-        for i in range(n):
-            expected = fuse_observations(
+        own = [
+            fuse_observations(
                 obs_objects[i], [obs_objects[j] for j in graph.neighbors[i]], n_fb
             )
-            assert np.array_equal(record.decisions[t, i], expected.beliefs)
+            for i in range(n)
+        ]
+        for i in range(n):
+            assert np.array_equal(record.decisions[t, i], own[i].beliefs)
             checks += 1
 
         # Super vectors equal OR fusion of this step's decision vectors.
         if record.supers is not None:
-            own = [
-                fuse_observations(
-                    obs_objects[i],
-                    [obs_objects[j] for j in graph.neighbors[i]],
-                    n_fb,
-                )
-                for i in range(n)
-            ]
             for i in range(n):
                 expected = fuse_decisions(
                     own[i], [own[j] for j in graph.neighbors[i]]
@@ -89,19 +84,23 @@ def check_structural_invariants(record: RunRecord) -> int:
 
         # Transmission rules: at most one per node; only on channels the
         # governing vector marks vacant; skip exactly when no candidate;
-        # outcome consistent with ground truth.
+        # outcome consistent with ground truth.  Each row is read once as a
+        # Python list: comparing numpy scalars one channel at a time used to
+        # cost most of this function.
         governing = record.supers if record.supers is not None else record.decisions
-        for i in range(n):
-            channel = int(record.transmits[t, i])
-            outcome = int(record.outcomes[t, i])
-            beliefs = governing[t, i]
-            cands = [c for c in range(n_fb) if beliefs[c] == Belief.VACANT]
+        truth = record.truth[t].tolist()
+        for beliefs, channel, outcome in zip(
+            governing[t].tolist(),
+            record.transmits[t].tolist(),
+            record.outcomes[t].tolist(),
+        ):
+            cands = [c for c in range(n_fb) if beliefs[c] == vacant]
             if channel < 0:
                 assert outcome == SKIPPED
                 assert not cands
             else:
                 assert outcome in (SUCCESSFUL, JAMMED)
-                assert beliefs[channel] == Belief.VACANT
+                assert beliefs[channel] == vacant
                 assert channel in cands
                 assert (outcome == JAMMED) == bool(truth[channel])
             checks += 1
@@ -110,7 +109,7 @@ def check_structural_invariants(record: RunRecord) -> int:
         # forces the same channel next step.
         if config.policy is PolicyKind.PSEUDO_RANDOM and t + 1 < len(record):
             for i in range(n):
-                if observations[i] == Belief.OCCUPIED:
+                if observations[i] == occupied:
                     assert record.actions[t + 1, i] == actions[i]
                     checks += 1
     return checks

@@ -189,16 +189,19 @@ def test_criterion_08_success_rate_band_insensitivity():
 
 def test_criterion_09_preset_byte_determinism(tmp_path):
     args = ["run", "--preset", "tsr-super", "--replications", "2",
-            "--horizon", "120", "--seed", "9"]
+            "--horizon", "120", "--seed", "9", "--trace"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
-    names = sorted(p.name for p in (tmp_path / "a").glob("metrics_*.csv"))
-    assert names
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == names
+    assert any(n.startswith("metrics_") for n in names)
+    assert any(n.startswith("trace_") for n in names)
     identical = all(
         (tmp_path / "a" / n).read_bytes() == (tmp_path / "b" / n).read_bytes()
         for n in names
     )
-    report(9, identical, f"{len(names)} metrics files byte-identical across reruns")
+    report(9, identical,
+           f"{len(names)} output files (traces included) byte-identical across reruns")
     assert identical
 
 

@@ -1,6 +1,7 @@
 """CLI tests: strict config parsing, artifact emission, reproducibility."""
 
 import copy
+import csv
 import dataclasses
 import hashlib
 import json
@@ -19,7 +20,8 @@ from jamsense.cli import (
     parse_config,
     run_experiment,
 )
-from jamsense.engine import SimConfig, run, run_batch
+from jamsense.engine import JAMMED, SKIPPED, SUCCESSFUL, SimConfig, run, run_batch
+from jamsense.fusion import Belief
 from jamsense.policies import PolicyKind, QParams
 from jamsense.sensing import FadingKind
 
@@ -263,6 +265,83 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError):
             run_experiment([("", config)], tmp_path / "fail")
         assert not list((tmp_path / "fail").glob("*"))
+
+
+# Trace modes: super-decision on and off, one and thirteen channels (the
+# one-channel run skips 170 of its 300 node-steps), q-learning, and global
+# Rayleigh cohorts of up to 40 nodes.  Digests recorded with the writer that
+# looked up each belief in a dict.
+TRACE_MATRIX = {
+    "super-on": ({}, "4c8099fe1a77399a45e91d30e47f29b9137802cb276bef25e37ccda1f13d249c"),
+    "super-off": (
+        dict(use_super_decision=False),
+        "94a44797ed3630546bf1dba9436d58e74ed0e6d70f50bfccb70241a9a425e1ef",
+    ),
+    "one-channel": (
+        dict(n_fb=1),
+        "43d5da9726ca400f41fbe2846e28ce6c139403f04be463022246cff1459e2783",
+    ),
+    "thirteen-channels": (
+        dict(n_fb=13),
+        "799d54b9ca7b4daf9d07598f08b18619e2241b2d24b7a61f4addcc147b644b9d",
+    ),
+    "qlearning-rayleigh": (
+        dict(policy=PolicyKind.QLEARNING, fading=FadingKind.RAYLEIGH),
+        "e2fe18a32c715f91f38065533ad44d6b9a630c00fa570ff7777cc96c7d99160e",
+    ),
+    "global-rayleigh-40": (
+        dict(n_wn=40, fading=FadingKind.RAYLEIGH, global_cohort=True,
+             use_super_decision=False),
+        "0ebcfc88db1e4cfb29cd8e36cf29dd3507062055039ec4c9dd09c915981c7c53",
+    ),
+}
+
+
+def trace_config(mode: str) -> SimConfig:
+    return SimConfig(horizon=30, seed=2026, replications=1, **TRACE_MATRIX[mode][0])
+
+
+@pytest.mark.parametrize("mode", sorted(TRACE_MATRIX))
+def test_trace_csv_bytes_pinned(tmp_path, mode):
+    run_experiment([("", trace_config(mode))], tmp_path, trace=True)
+    digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert digest == TRACE_MATRIX[mode][1]
+
+
+@pytest.mark.parametrize("mode", sorted(TRACE_MATRIX))
+def test_trace_csv_parses_back_to_the_record(tmp_path, mode):
+    config = trace_config(mode)
+    run_experiment([("", config)], tmp_path, trace=True)
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    record = run(config, 0)
+    beliefs = {"U": Belief.UNKNOWN, "V": Belief.VACANT, "O": Belief.OCCUPIED}
+    outcomes = {"skipped": SKIPPED, "successful": SUCCESSFUL, "jammed": JAMMED}
+
+    def decode(text):
+        return np.array([beliefs[ch] for ch in text], dtype=np.int8)
+
+    assert rows[0] == ["t", "node", "action", "m", "tau", "transmit",
+                       "outcome", "decision", "super_decision"]
+    body = rows[1:]
+    assert len(body) == len(record) * config.n_wn
+    for k, (t, node, action, m, tau, transmit, outcome, decision,
+            super_decision) in enumerate(body):
+        step, i = divmod(k, config.n_wn)
+        assert (int(t), int(node)) == (step, i)
+        assert int(action) == record.actions[step, i]
+        assert int(m) == record.cohorts[step, i]
+        assert beliefs[tau] == record.observations[step, i]
+        if record.transmits[step, i] == -1:
+            assert transmit == ""
+        else:
+            assert int(transmit) == record.transmits[step, i]
+        assert outcomes[outcome] == record.outcomes[step, i]
+        assert np.array_equal(decode(decision), record.decisions[step, i])
+        if config.use_super_decision:
+            assert np.array_equal(decode(super_decision), record.supers[step, i])
+        else:
+            assert super_decision == ""
 
 
 class TestExportGrid:
