@@ -6,11 +6,9 @@ from .engine import (
     BatchResult,
     RunRecord,
     SimConfig,
-    jammer_detection_ratio,
     jdr_curve,
     run,
     run_batch,
-    transmission_success_rate,
     tsr_curve,
 )
 from .fusion import Belief, DecisionVector, Observation, SuperDecisionVector
@@ -53,7 +51,6 @@ __all__ = [
     "build_rayleigh_grid",
     "default_placement",
     "init_chains",
-    "jammer_detection_ratio",
     "jdr_curve",
     "marcum_q",
     "p_d_awgn",
@@ -61,6 +58,5 @@ __all__ = [
     "p_d_rayleigh_single",
     "run",
     "run_batch",
-    "transmission_success_rate",
     "tsr_curve",
 ]

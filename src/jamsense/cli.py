@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--super-decision", choices=["on", "off"], dest="use_super_decision"
     )
     run_p.add_argument("--trace", action="store_true", help="write full node-step traces")
-    run_p.add_argument("--workers", type=int, default=1)
+    run_p.add_argument("--workers", type=int, default=1, help="batch processes, >= 1")
 
     grid_p = sub.add_parser("export-grid", help="write the probability tables only")
     grid_p.add_argument("--config", type=Path, default=None)
@@ -490,6 +490,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for path in export_grid(config, args.out):
                 print(f"wrote {path}")
             return 0
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         curves = _curves_for(args)
         written = run_experiment(
             curves, args.out, trace=args.trace, workers=args.workers

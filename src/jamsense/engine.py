@@ -23,19 +23,14 @@ entire world state.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import rng as rngmod
-from .fusion import (
-    Belief,
-    Observation,
-    SuperDecisionVector,
-    candidate_channels,
-    fuse_observations,
-)
+from .fusion import Belief, Observation, candidate_channels, fuse_observations
 from .jammers import init_chains, step as step_chain
 from .network import (
     Placement,
@@ -301,9 +296,19 @@ def _run_world(world: _World) -> RunRecord:
     q = config.qlearning
     # Action values per (node, channel), used by q-learning only.
     q_table = np.zeros((n, n_fb)) if config.policy is PolicyKind.QLEARNING else None
+    # The policy is chosen once; each call looks its function up by name.
+    choose = {
+        PolicyKind.PSEUDO_RANDOM: lambda inp: choose_action_pseudo_random(
+            inp, config.epsilon_n
+        ),
+        PolicyKind.UNIFORM: lambda inp: choose_action_uniform(inp),
+        PolicyKind.QLEARNING: lambda inp: choose_action_qlearning(inp, q, q_table),
+    }[config.policy]
     graph = world.graph
     neighbors = graph.neighbors
     fuse_index, starts, owner = graph.fuse_index, graph.fuse_starts, graph.fuse_owner
+    # Node i's neighbours fill fuse_index[bounds[i] + 1 : bounds[i + 1]].
+    bounds = starts.tolist() + [len(fuse_index)]
     nodes = np.arange(n)
     awgn = config.fading is FadingKind.AWGN
     occupied, vacant = int(Belief.OCCUPIED), int(Belief.VACANT)
@@ -361,49 +366,46 @@ def _run_world(world: _World) -> RunRecord:
             Observation(node=i, channel=actions[i], verdict=observations[i], time=t)
             for i in range(n)
         ]
-        decisions = [
+        decision_log[t] = [
             fuse_observations(
                 obs_objects[i], [obs_objects[j] for j in neighbors[i]], n_fb
-            )
+            ).beliefs
             for i in range(n)
         ]
 
-        # Next actions from this step's observations and neighbor actions.
+        # Next actions from this step's observations and neighbor channels.
         if q_table is not None:
             rewards = [1.0 if o == occupied else 0.0 for o in observations]
             for i in range(n):
                 update_q(q, q_table, i, actions[i], rewards[i])
                 for j in neighbors[i]:
                     update_q(q, q_table, i, actions[j], rewards[j])
-        next_actions = []
-        for i in range(n):
-            inp = PolicyInput(
-                node=i,
-                own_action=actions[i],
-                observation=observations[i],
-                neighbor_actions=tuple((j, actions[j]) for j in neighbors[i]),
-                n_channels=n_fb,
-                rng=policy_rng,
+        fused_acts = acts[fuse_index].tolist()
+        next_actions = [
+            choose(
+                PolicyInput(
+                    node=i,
+                    own_action=actions[i],
+                    observation=observations[i],
+                    neighbor_channels=tuple(fused_acts[bounds[i] + 1 : bounds[i + 1]]),
+                    n_channels=n_fb,
+                    rng=policy_rng,
+                )
             )
-            if config.policy is PolicyKind.PSEUDO_RANDOM:
-                next_actions.append(choose_action_pseudo_random(inp, config.epsilon_n))
-            elif config.policy is PolicyKind.UNIFORM:
-                next_actions.append(choose_action_uniform(inp))
-            else:
-                next_actions.append(choose_action_qlearning(inp, q, q_table))
+            for i in range(n)
+        ]
+        del fused_acts  # one pointer per index entry; freed before the next step
 
         # Second-stage fusion: exchange decision vectors; each node's super
         # vector is the elementwise max over its segment of the fuse index.
-        decision_log[t] = [d.beliefs for d in decisions]
-        governing = decisions
-        if super_log is not None:
+        # The governing vectors are read once per step as Python lists.
+        if super_log is None:
+            governing = decision_log[t].tolist()
+        else:
             super_log[t] = np.maximum.reduceat(
                 decision_log[t][fuse_index], starts, axis=0
             )
-            governing = [
-                SuperDecisionVector(beliefs=row, owner=i, time=t)
-                for i, row in enumerate(super_log[t])
-            ]
+            governing = super_log[t].tolist()
 
         # Transmission sub-slot.
         for i in range(n):
@@ -466,39 +468,11 @@ def detection_counts(record: RunRecord) -> Tuple[np.ndarray, np.ndarray]:
     return detected, total
 
 
-def jammer_detection_ratio(record: RunRecord, upto: Optional[int] = None) -> float:
-    """Detected over total jamming channel-steps in the first `upto` steps.
-
-    Returns 0.0 when no jamming occurred (degenerate denominator; see
-    `detection_counts` to distinguish that case).
-    """
-    upto = len(record) if upto is None else upto
-    if not 0 <= upto <= len(record):
-        raise ValueError(f"upto={upto} outside [0, {len(record)}]")
-    detected, total = detection_counts(record)
-    denom = int(total[:upto].sum())
-    return (int(detected[:upto].sum()) / denom) if denom else 0.0
-
-
 def transmission_counts(record: RunRecord) -> Tuple[np.ndarray, np.ndarray]:
     """Per-step (successful, attempted) transmission counts; skips excluded."""
     successful = (record.outcomes == SUCCESSFUL).sum(axis=1)
     attempted = successful + (record.outcomes == JAMMED).sum(axis=1)
     return successful, attempted
-
-
-def transmission_success_rate(record: RunRecord, upto: Optional[int] = None) -> float:
-    """Successful over attempted transmissions in the first `upto` steps.
-
-    Node-steps with an empty candidate set are excluded; returns 0.0
-    when nothing was attempted at all.
-    """
-    upto = len(record) if upto is None else upto
-    if not 0 <= upto <= len(record):
-        raise ValueError(f"upto={upto} outside [0, {len(record)}]")
-    successful, attempted = transmission_counts(record)
-    denom = int(attempted[:upto].sum())
-    return (int(successful[:upto].sum()) / denom) if denom else 0.0
 
 
 def _prefix_ratio(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -584,14 +558,18 @@ def run_batch(config: SimConfig, workers: int = 1) -> BatchResult:
 
     Replication r uses the derived seed H(seed, replication_tag, r), so
     results are independent of `workers`; curves are aggregated in
-    replication order.
+    replication order.  At most `workers` processes run, and no more than
+    there are replications or CPUs; with one, the batch runs in-process.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     reps = config.replications
     tasks = [(config, r) for r in range(reps)]
-    if workers > 1:
+    processes = min(workers, reps, os.cpu_count() or 1)
+    if processes > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(processes) as pool:
             results = pool.map(_replicate, tasks)
     else:
         results = [_replicate(task) for task in tasks]

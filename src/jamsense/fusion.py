@@ -43,7 +43,7 @@ class Observation:
     time: int
 
     def __post_init__(self) -> None:
-        if self.verdict not in (Belief.VACANT, Belief.OCCUPIED):
+        if self.verdict not in (_VACANT, _OCCUPIED):
             raise ValueError(f"verdict must be VACANT or OCCUPIED, got {self.verdict}")
 
 
@@ -112,9 +112,6 @@ def fuse_decisions(
     return SuperDecisionVector(beliefs=merged, owner=own.owner, time=own.time)
 
 
-def candidate_channels(vector: DecisionVector) -> List[int]:
-    """Channels believed vacant, ascending; empty means do not transmit."""
-    beliefs = vector.beliefs
-    if isinstance(beliefs, np.ndarray):
-        beliefs = beliefs.tolist()
+def candidate_channels(beliefs: Sequence[int]) -> List[int]:
+    """Channels a belief row marks vacant, ascending; empty means do not transmit."""
     return [c for c, b in enumerate(beliefs) if b == _VACANT]

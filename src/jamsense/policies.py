@@ -38,12 +38,15 @@ class PolicyKind(Enum):
 
 @dataclass
 class PolicyInput:
-    """Everything a policy may look at when picking the next channel."""
+    """Everything a policy may look at when picking the next channel.
+
+    Of its neighbours a node sees only the channels they are sensing.
+    """
 
     node: int
     own_action: int
     observation: int  # Belief verdict of the channel just sensed
-    neighbor_actions: Tuple[Tuple[int, int], ...]  # (neighbor, channel) pairs
+    neighbor_channels: Tuple[int, ...]  # neighbours' channels, in listed order
     n_channels: int
     rng: np.random.Generator
 
@@ -63,11 +66,11 @@ def choose_action_pseudo_random(inp: PolicyInput, epsilon_n: float = 0.1) -> int
     if inp.observation == _OCCUPIED:
         return inp.own_action
     u = inp.rng.random()
-    if u <= epsilon_n and inp.neighbor_actions:
-        idx = int(inp.rng.integers(len(inp.neighbor_actions)))
-        return inp.neighbor_actions[idx][1]
+    if u <= epsilon_n and inp.neighbor_channels:
+        idx = int(inp.rng.integers(len(inp.neighbor_channels)))
+        return inp.neighbor_channels[idx]
     excluded = {inp.own_action}
-    excluded.update(ch for _, ch in inp.neighbor_actions)
+    excluded.update(inp.neighbor_channels)
     pool = [c for c in range(inp.n_channels) if c not in excluded]
     if not pool:
         pool = [c for c in range(inp.n_channels) if c != inp.own_action]

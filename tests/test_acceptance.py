@@ -240,7 +240,7 @@ def test_criterion_10_property_suites():
     for _ in range(draws):
         inp = PolicyInput(
             node=0, own_action=0, observation=Belief.VACANT,
-            neighbor_actions=((1, 1), (2, 2)), n_channels=10, rng=rng,
+            neighbor_channels=(1, 2), n_channels=10, rng=rng,
         )
         counts[choose_action_pseudo_random(inp, epsilon)] += 1
     expected = np.array(
@@ -256,7 +256,7 @@ def test_criterion_10_property_suites():
     for k in range(1000):
         inp = PolicyInput(
             node=0, own_action=k % 10, observation=Belief.OCCUPIED,
-            neighbor_actions=((1, (k + 1) % 10),), n_channels=10, rng=rng,
+            neighbor_channels=((k + 1) % 10,), n_channels=10, rng=rng,
         )
         violations += choose_action_pseudo_random(inp, epsilon) != k % 10
         checks += 1

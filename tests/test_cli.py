@@ -409,6 +409,8 @@ class TestMain:
                 [],
                 "grid_snr_max_db",
             ),
+            ({}, ["--workers", "0"], "--workers"),
+            ({}, ["--workers", "-4"], "--workers"),
         ],
     )
     def test_invalid_input_exit_two_names_field(

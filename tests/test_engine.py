@@ -16,12 +16,10 @@ from jamsense.engine import (
     _World,
     _run_world,
     detection_counts,
-    jammer_detection_ratio,
     jdr_curve,
     run,
     run_batch,
     transmission_counts,
-    transmission_success_rate,
     tsr_curve,
 )
 from jamsense.fusion import Belief
@@ -64,8 +62,8 @@ def test_jam_free_world_all_successful():
     assert not record.truth.any()
     assert np.all(record.observations == Belief.VACANT)
     assert np.all(record.outcomes == SUCCESSFUL)
-    assert jammer_detection_ratio(record) == 0.0  # degenerate: no jamming
-    assert transmission_success_rate(record) == 1.0
+    assert jdr_curve(record)[-1] == 0.0  # degenerate: no jamming
+    assert tsr_curve(record)[-1] == 1.0
 
 
 def test_fully_jammed_world_all_skipped():
@@ -86,8 +84,8 @@ def test_fully_jammed_world_all_skipped():
     expected = sum(
         len(set(record.actions[t].tolist())) for t in range(len(record))
     ) / (len(record) * config.n_fb)
-    assert jammer_detection_ratio(record) == pytest.approx(expected, abs=1e-12)
-    assert transmission_success_rate(record) == 0.0  # degenerate: no attempts
+    assert jdr_curve(record)[-1] == pytest.approx(expected, abs=1e-12)
+    assert tsr_curve(record)[-1] == 0.0  # degenerate: no attempts
 
 
 def test_single_channel_always_jammed_detected():
@@ -101,7 +99,7 @@ def test_single_channel_always_jammed_detected():
         replications=1,
     )
     record = _run_world(forced_world(config, active=True))
-    assert jammer_detection_ratio(record) == 1.0
+    assert jdr_curve(record)[-1] == 1.0
 
 
 def test_huge_threshold_never_detects():
@@ -113,7 +111,7 @@ def test_huge_threshold_never_detects():
         replications=1,
     )
     record = run(config)
-    assert jammer_detection_ratio(record) == 0.0
+    assert jdr_curve(record)[-1] == 0.0
 
 
 def test_determinism_same_seed_identical_records():
@@ -145,21 +143,6 @@ def test_replication_seeds_differ_and_derive_from_master():
     assert r0.run_seed == rngmod.derive_seed(21, rngmod.REPLICATION, 0)
     assert r1.run_seed == rngmod.derive_seed(21, rngmod.REPLICATION, 1)
     assert not np.array_equal(r0.actions, r1.actions)
-
-
-def test_metric_prefix_consistency():
-    record = run(SimConfig(horizon=150, seed=17, replications=1))
-    jdr = jdr_curve(record)
-    tsr = tsr_curve(record)
-    for upto in (1, 2, 37, 99, 150):
-        assert jammer_detection_ratio(record, upto) == pytest.approx(
-            jdr[upto - 1], abs=1e-15
-        )
-        assert transmission_success_rate(record, upto) == pytest.approx(
-            tsr[upto - 1], abs=1e-15
-        )
-    with pytest.raises(ValueError):
-        jammer_detection_ratio(record, 151)
 
 
 def test_detection_counts_match_brute_force():
@@ -339,6 +322,54 @@ def test_run_batch_workers_equivalence_custom_false_alarms():
     assert np.array_equal(seq.jdr_mean, par.jdr_mean)
     assert np.array_equal(seq.tsr_mean, par.tsr_mean)
     assert np.array_equal(seq.tsr_final, par.tsr_final)
+
+
+@pytest.mark.parametrize(
+    "replications, workers, cpus, pool_size",
+    [
+        (2, 64, 8, 2),  # capped at replications
+        (5, 3, 8, 3),
+        (5, 64, 4, 4),  # capped at CPUs
+        (5, 4, 1, None),  # one process: the serial path, no pool
+        (5, 4, None, None),  # unknown CPU count counts as one
+        (1, 4, 8, None),
+    ],
+)
+def test_run_batch_pool_size(monkeypatch, replications, workers, cpus, pool_size):
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class SerialPool:
+        """Records its size and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    config = SimConfig(horizon=10, seed=55, replications=replications)
+    batch = run_batch(config, workers=workers)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    serial = run_batch(config, workers=1)
+    assert np.array_equal(batch.jdr_mean, serial.jdr_mean)
+    assert np.array_equal(batch.tsr_final, serial.tsr_final)
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_run_batch_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_batch(SimConfig(horizon=5, replications=1), workers=workers)
 
 
 def test_step_view_and_len():

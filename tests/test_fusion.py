@@ -89,13 +89,13 @@ class TestFuseDecisions:
 
 class TestCandidateChannels:
     def test_all_occupied_means_no_transmission(self):
-        assert candidate_channels(vector([2] * N_CH)) == []
+        assert candidate_channels([2] * N_CH) == []
 
     def test_all_unknown_ignored(self):
-        assert candidate_channels(vector([0] * N_CH)) == []
+        assert candidate_channels([0] * N_CH) == []
 
     def test_vacant_channels_ascending(self):
-        assert candidate_channels(vector([1, 2, 1, 0, 0, 0])) == [0, 2]
+        assert candidate_channels([1, 2, 1, 0, 0, 0]) == [0, 2]
 
 
 class TestLatticeLaws:

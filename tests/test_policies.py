@@ -18,7 +18,7 @@ from jamsense.policies import (
 def make_input(
     own_action=0,
     observation=Belief.VACANT,
-    neighbor_actions=(),
+    neighbor_channels=(),
     n_channels=10,
     rng=None,
     node=0,
@@ -27,7 +27,7 @@ def make_input(
         node=node,
         own_action=own_action,
         observation=observation,
-        neighbor_actions=tuple(neighbor_actions),
+        neighbor_channels=tuple(neighbor_channels),
         n_channels=n_channels,
         rng=rng if rng is not None else np.random.default_rng(0),
     )
@@ -44,7 +44,7 @@ class TestPseudoRandom:
         rng = np.random.default_rng(2)
         for _ in range(50):
             inp = make_input(
-                own_action=0, neighbor_actions=[(1, 7)], rng=rng
+                own_action=0, neighbor_channels=[7], rng=rng
             )
             assert choose_action_pseudo_random(inp, 1.0) == 7
 
@@ -55,7 +55,7 @@ class TestPseudoRandom:
         draws = 100_000
         for _ in range(draws):
             inp = make_input(
-                own_action=0, neighbor_actions=[(1, 1), (2, 2)], rng=rng
+                own_action=0, neighbor_channels=[1, 2], rng=rng
             )
             counts[choose_action_pseudo_random(inp, 0.0)] += 1
         assert counts[:3].sum() == 0
@@ -64,11 +64,11 @@ class TestPseudoRandom:
 
     def test_exploitation_uniform_over_neighbors(self):
         rng = np.random.default_rng(4)
-        neighbor_actions = [(1, 3), (2, 5), (3, 8)]
+        neighbor_channels = [3, 5, 8]
         counts = {3: 0, 5: 0, 8: 0}
         draws = 30_000
         for _ in range(draws):
-            inp = make_input(neighbor_actions=neighbor_actions, rng=rng)
+            inp = make_input(neighbor_channels=neighbor_channels, rng=rng)
             counts[choose_action_pseudo_random(inp, 1.0)] += 1
         chi2 = sum((c - draws / 3) ** 2 / (draws / 3) for c in counts.values())
         assert chi2 < stats.chi2.ppf(0.99, 2)
@@ -77,7 +77,7 @@ class TestPseudoRandom:
         rng = np.random.default_rng(5)
         seen = set()
         for _ in range(200):
-            inp = make_input(own_action=2, neighbor_actions=[], rng=rng)
+            inp = make_input(own_action=2, neighbor_channels=[], rng=rng)
             choice = choose_action_pseudo_random(inp, 1.0)
             assert choice != 2
             seen.add(choice)
@@ -89,7 +89,7 @@ class TestPseudoRandom:
         for _ in range(50):
             inp = make_input(
                 own_action=0,
-                neighbor_actions=[(1, 1)],
+                neighbor_channels=[1],
                 n_channels=2,
                 rng=rng,
             )
@@ -105,11 +105,11 @@ class TestPseudoRandom:
             n = int(rng.integers(1, 12))
             own = int(rng.integers(n))
             k = int(rng.integers(0, 4))
-            neighbor_actions = [(j + 1, int(rng.integers(n))) for j in range(k)]
+            neighbor_channels = [int(rng.integers(n)) for _ in range(k)]
             inp = make_input(
                 own_action=own,
                 observation=rng.choice([Belief.VACANT, Belief.OCCUPIED]),
-                neighbor_actions=neighbor_actions,
+                neighbor_channels=neighbor_channels,
                 n_channels=n,
                 rng=rng,
             )
@@ -122,7 +122,7 @@ class TestPseudoRandom:
             for k in range(300):
                 inp = make_input(
                     own_action=k % 10,
-                    neighbor_actions=[(1, (k * 3) % 10)],
+                    neighbor_channels=[(k * 3) % 10],
                     rng=rng,
                 )
                 out.append(choose_action_pseudo_random(inp, 0.3))
@@ -158,7 +158,7 @@ class TestUniform:
             b = choose_action_uniform(
                 make_input(
                     observation=Belief.OCCUPIED,
-                    neighbor_actions=[(1, 4)],
+                    neighbor_channels=[4],
                     own_action=7,
                     rng=np.random.default_rng(seed),
                 )
