@@ -11,7 +11,7 @@ from .engine import (
     run_batch,
     tsr_curve,
 )
-from .fusion import Belief, DecisionVector, Observation, SuperDecisionVector
+from .fusion import Belief
 from .jammers import JammerChain, init_chains
 from .network import NeighborGraph, Placement, build_neighbor_graph, default_placement
 from .policies import PolicyInput, PolicyKind, QParams
@@ -31,13 +31,11 @@ from .sensing import (
 __all__ = [
     "BatchResult",
     "Belief",
-    "DecisionVector",
     "DetectionParams",
     "FadingKind",
     "FalseAlarmTable",
     "JammerChain",
     "NeighborGraph",
-    "Observation",
     "Placement",
     "PolicyInput",
     "PolicyKind",
@@ -45,7 +43,6 @@ __all__ = [
     "QParams",
     "RunRecord",
     "SimConfig",
-    "SuperDecisionVector",
     "build_awgn_grid",
     "build_neighbor_graph",
     "build_rayleigh_grid",

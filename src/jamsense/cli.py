@@ -227,10 +227,14 @@ def _read_json(path: Path) -> Dict:
     if not path.exists():
         raise ConfigError(f"{path}: no such config file")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=_no_duplicates)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file ({exc.strerror})")
     return _object(data, str(path))
 
 

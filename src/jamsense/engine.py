@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import rng as rngmod
-from .fusion import Belief, Observation, candidate_channels, fuse_observations
+from .fusion import Belief, candidate_channels, fuse_observations
 from .jammers import init_chains, step as step_chain
 from .network import (
     Placement,
@@ -307,7 +307,8 @@ def _run_world(world: _World) -> RunRecord:
     graph = world.graph
     neighbors = graph.neighbors
     fuse_index, starts, owner = graph.fuse_index, graph.fuse_starts, graph.fuse_owner
-    # Node i's neighbours fill fuse_index[bounds[i] + 1 : bounds[i + 1]].
+    # Node i's segment fuse_index[bounds[i] : bounds[i + 1]] is node i,
+    # then its neighbours.
     bounds = starts.tolist() + [len(fuse_index)]
     nodes = np.arange(n)
     awgn = config.fading is FadingKind.AWGN
@@ -359,18 +360,16 @@ def _run_world(world: _World) -> RunRecord:
             for i in np.flatnonzero(jammed).tolist():
                 p[i] = -math.expm1(log_miss[i])
         u = draws[acts] if config.shared_draw else draws
-        observations = np.where(u < p, occupied, vacant).tolist()
+        verdicts = np.where(u < p, occupied, vacant)
+        observations = verdicts.tolist()
 
-        # Collaboration sub-slot: exchange observations, fuse decisions.
-        obs_objects = [
-            Observation(node=i, channel=actions[i], verdict=observations[i], time=t)
-            for i in range(n)
-        ]
+        # Collaboration sub-slot: each node fuses the (channel, verdict)
+        # pairs of its fuse-index segment, its own first.
+        fused_acts = acts[fuse_index].tolist()
+        fused_obs = verdicts[fuse_index].tolist()
         decision_log[t] = [
-            fuse_observations(
-                obs_objects[i], [obs_objects[j] for j in neighbors[i]], n_fb
-            ).beliefs
-            for i in range(n)
+            fuse_observations(fused_acts[lo:hi], fused_obs[lo:hi], n_fb)
+            for lo, hi in zip(bounds, bounds[1:])
         ]
 
         # Next actions from this step's observations and neighbor channels.
@@ -380,7 +379,6 @@ def _run_world(world: _World) -> RunRecord:
                 update_q(q, q_table, i, actions[i], rewards[i])
                 for j in neighbors[i]:
                     update_q(q, q_table, i, actions[j], rewards[j])
-        fused_acts = acts[fuse_index].tolist()
         next_actions = [
             choose(
                 PolicyInput(
@@ -394,7 +392,8 @@ def _run_world(world: _World) -> RunRecord:
             )
             for i in range(n)
         ]
-        del fused_acts  # one pointer per index entry; freed before the next step
+        # One pointer per index entry each; freed before super-decision fusion.
+        del fused_acts, fused_obs
 
         # Second-stage fusion: exchange decision vectors; each node's super
         # vector is the elementwise max over its segment of the fuse index.

@@ -123,6 +123,12 @@ class FalseAlarmTable:
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"p_fa={p} for m={m} outside [0, 1]")
 
+    def __hash__(self) -> int:
+        # A mappingproxy is unhashable; equal tables have equal sorted items.
+        return hash(
+            (tuple(sorted(self.awgn.items())), tuple(sorted(self.rayleigh.items())))
+        )
+
     def __reduce__(self):
         # A mappingproxy does not pickle; rebuild from plain dicts.
         return (FalseAlarmTable, (dict(self.awgn), dict(self.rayleigh)))

@@ -12,12 +12,7 @@ import numpy as np
 
 from jamsense import rng as rngmod
 from jamsense.engine import JAMMED, SKIPPED, SUCCESSFUL, RunRecord
-from jamsense.fusion import (
-    Belief,
-    Observation,
-    fuse_decisions,
-    fuse_observations,
-)
+from jamsense.fusion import Belief, fuse_decisions, fuse_observations
 from jamsense.network import NeighborGraph, build_neighbor_graph
 from jamsense.policies import (
     PolicyInput,
@@ -65,29 +60,22 @@ def check_structural_invariants(record: RunRecord) -> int:
             checks += 1
 
         # Decision vectors equal OR fusion of this step's observations.
-        obs_objects = [
-            Observation(
-                node=i, channel=int(actions[i]), verdict=int(observations[i]), time=t
-            )
-            for i in range(n)
-        ]
+        # Each node's inputs: itself, then its neighbours.
+        members = [(i, *graph.neighbors[i]) for i in range(n)]
+        channels, verdicts = actions.tolist(), observations.tolist()
         own = [
-            fuse_observations(
-                obs_objects[i], [obs_objects[j] for j in graph.neighbors[i]], n_fb
-            )
-            for i in range(n)
+            fuse_observations([channels[j] for j in m], [verdicts[j] for j in m], n_fb)
+            for m in members
         ]
         for i in range(n):
-            assert np.array_equal(record.decisions[t, i], own[i].beliefs)
+            assert np.array_equal(record.decisions[t, i], own[i])
             checks += 1
 
         # Super vectors equal OR fusion of this step's decision vectors.
         if record.supers is not None:
             for i in range(n):
-                expected = fuse_decisions(
-                    own[i], [own[j] for j in graph.neighbors[i]]
-                )
-                assert np.array_equal(record.supers[t, i], expected.beliefs)
+                expected = fuse_decisions([own[j] for j in members[i]])
+                assert np.array_equal(record.supers[t, i], expected)
                 checks += 1
 
         # Transmission rules: at most one per node; only on channels the

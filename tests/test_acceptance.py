@@ -211,23 +211,18 @@ def test_criterion_10_property_suites():
 
     # Fusion lattice laws over 10^4 random vector triples.
     rng = np.random.default_rng(1010)
-    from jamsense.fusion import DecisionVector, fuse_decisions
-
-    def vec(values):
-        return DecisionVector(
-            beliefs=np.asarray(values, dtype=np.int8), owner=0, time=0
-        )
+    from jamsense.fusion import fuse_decisions
 
     for _ in range(10_000):
         a, b, c = (rng.integers(0, 3, size=8) for _ in range(3))
-        ab = fuse_decisions(vec(a), [vec(b)]).beliefs
-        ba = fuse_decisions(vec(b), [vec(a)]).beliefs
-        ab_c = fuse_decisions(vec(ab), [vec(c)]).beliefs
-        a_bc = fuse_decisions(vec(a), [vec(fuse_decisions(vec(b), [vec(c)]).beliefs)]).beliefs
+        ab = fuse_decisions([a, b])
+        ba = fuse_decisions([b, a])
+        ab_c = fuse_decisions([ab, c])
+        a_bc = fuse_decisions([a, fuse_decisions([b, c])])
         violations += not (
             np.array_equal(ab, ba)
             and np.array_equal(ab_c, a_bc)
-            and np.array_equal(fuse_decisions(vec(a), [vec(a)]).beliefs, a)
+            and np.array_equal(fuse_decisions([a, a]), a)
         )
         checks += 3
 

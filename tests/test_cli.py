@@ -37,6 +37,20 @@ def write_config(tmp_path, data, name="config.json"):
     return path
 
 
+def config_directory(tmp_path):
+    """A config path that is a directory, not a file."""
+    path = tmp_path / "config.json"
+    path.mkdir()
+    return path
+
+
+def config_not_utf8(tmp_path):
+    """A config file whose bytes are not UTF-8."""
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    return path
+
+
 class TestParseConfig:
     def test_minimal_seed_only_gives_reference_scenario(self, tmp_path):
         config = parse_config(write_config(tmp_path, {"seed": 1}))
@@ -411,13 +425,17 @@ class TestMain:
             ),
             ({}, ["--workers", "0"], "--workers"),
             ({}, ["--workers", "-4"], "--workers"),
+            (config_directory, [], "config.json"),
+            (config_not_utf8, [], "config.json"),
         ],
     )
     def test_invalid_input_exit_two_names_field(
         self, tmp_path, capsys, data, flags, field
     ):
         argv = ["run", "--out", str(tmp_path / "out"), *flags]
-        if data is not None:
+        if callable(data):
+            argv += ["--config", str(data(tmp_path))]
+        elif data is not None:
             argv += ["--config", str(write_config(tmp_path, data))]
         assert main(argv) == 2
         err = capsys.readouterr().err

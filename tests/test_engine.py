@@ -389,6 +389,19 @@ def test_false_alarm_table_is_read_only():
         config.false_alarm.awgn[1] = 7.0
 
 
+def test_equal_configs_hash_equal_and_key_a_dict():
+    table = {3: 0.2, 1: 0.5}
+    a = SimConfig(false_alarm=FalseAlarmTable(awgn=table, rayleigh=table))
+    b = SimConfig(
+        false_alarm=FalseAlarmTable(awgn=dict(reversed(table.items())), rayleigh=table)
+    )
+    assert a == b and hash(a) == hash(b)
+    cache = {a: "world"}
+    assert cache[b] == "world"
+    assert SimConfig() not in cache
+    assert hash(SimConfig()) == hash(SimConfig())
+
+
 def test_check_tables_covers_tables_the_run_does_not_build():
     # Only the AWGN table is built, so the config is valid; the Rayleigh
     # table would be NaN at this threshold.

@@ -2,89 +2,79 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jamsense.fusion import (
     Belief,
-    DecisionVector,
-    Observation,
-    SuperDecisionVector,
     candidate_channels,
     fuse_decisions,
     fuse_observations,
 )
 
 N_CH = 6
-
-
-def obs(node, channel, verdict, time=0):
-    return Observation(node=node, channel=channel, verdict=verdict, time=time)
-
-
-def vector(beliefs, owner=0, time=0):
-    return DecisionVector(
-        beliefs=np.asarray(beliefs, dtype=np.int8), owner=owner, time=time
-    )
+V, O = int(Belief.VACANT), int(Belief.OCCUPIED)
 
 
 class TestFuseObservations:
     def test_own_only(self):
-        d = fuse_observations(obs(0, 2, Belief.VACANT), [], N_CH)
-        assert d.beliefs.tolist() == [0, 0, 1, 0, 0, 0]
-        assert d.owner == 0
+        assert fuse_observations([2], [V], N_CH) == [0, 0, 1, 0, 0, 0]
 
     def test_neighbor_occupied_overrides_own_vacant(self):
-        d = fuse_observations(
-            obs(0, 2, Belief.VACANT), [obs(1, 2, Belief.OCCUPIED)], N_CH
-        )
-        assert d.beliefs[2] == Belief.OCCUPIED
+        assert fuse_observations([2, 2], [V, O], N_CH)[2] == Belief.OCCUPIED
 
     def test_or_over_duplicates(self):
-        d = fuse_observations(
-            obs(0, 1, Belief.OCCUPIED),
-            [obs(1, 4, Belief.VACANT), obs(2, 4, Belief.OCCUPIED)],
-            N_CH,
-        )
-        assert d.beliefs.tolist() == [0, 2, 0, 0, 2, 0]
-
-    def test_cross_step_mixing_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_observations(
-                obs(0, 1, Belief.VACANT), [obs(1, 2, Belief.VACANT, time=1)], N_CH
-            )
+        beliefs = fuse_observations([1, 4, 4], [O, V, O], N_CH)
+        assert beliefs == [0, 2, 0, 0, 2, 0]
 
     def test_out_of_range_channel_rejected(self):
         with pytest.raises(ValueError):
-            fuse_observations(obs(0, N_CH, Belief.VACANT), [], N_CH)
+            fuse_observations([N_CH], [V], N_CH)
 
     def test_unknown_verdict_rejected(self):
         with pytest.raises(ValueError):
-            Observation(node=0, channel=1, verdict=Belief.UNKNOWN, time=0)
+            fuse_observations([1], [Belief.UNKNOWN], N_CH)
+
+    @pytest.mark.parametrize(
+        "channels, verdicts", [([1, 2], [V]), ([1], [V, O]), ([], [V])]
+    )
+    def test_length_mismatch_rejected(self, channels, verdicts):
+        with pytest.raises(ValueError, match="channels but"):
+            fuse_observations(channels, verdicts, N_CH)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, N_CH - 1), st.sampled_from([V, O])),
+            min_size=1,
+            max_size=12,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_order_free_and_equal_to_decision_fusion(self, pairs, random):
+        channels, verdicts = zip(*pairs)
+        beliefs = fuse_observations(channels, verdicts, N_CH)
+        shuffled = random.sample(pairs, len(pairs))
+        assert fuse_observations(*zip(*shuffled), N_CH) == beliefs
+        singles = [fuse_observations([c], [v], N_CH) for c, v in pairs]
+        assert fuse_decisions(singles) == beliefs
 
 
 class TestFuseDecisions:
     def test_identity_without_neighbors(self):
-        own = vector([0, 1, 2, 0, 1, 0])
-        merged = fuse_decisions(own, [])
-        assert isinstance(merged, SuperDecisionVector)
-        assert merged.beliefs.tolist() == own.beliefs.tolist()
+        own = [0, 1, 2, 0, 1, 0]
+        assert fuse_decisions([own]) == own
 
     def test_occupied_dominates_vacant(self):
-        own = vector([0, 0, 0, 1, 0, 0])
-        other = vector([0, 0, 0, 2, 0, 0], owner=1)
-        assert fuse_decisions(own, [other]).beliefs[3] == Belief.OCCUPIED
+        own, other = [0, 0, 0, 1, 0, 0], [0, 0, 0, 2, 0, 0]
+        assert fuse_decisions([own, other])[3] == Belief.OCCUPIED
 
     def test_vacant_dominates_unknown(self):
-        own = vector([0, 0, 0, 0, 0, 0])
-        other = vector([0, 0, 0, 0, 0, 1], owner=1)
-        assert fuse_decisions(own, [other]).beliefs[5] == Belief.VACANT
+        own, other = [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]
+        assert fuse_decisions([own, other])[5] == Belief.VACANT
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            fuse_decisions(vector([0, 1]), [vector([0, 1, 2], owner=1)])
-
-    def test_cross_step_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_decisions(vector([0, 1]), [vector([0, 1], owner=1, time=3)])
+            fuse_decisions([[0, 1], [0, 1, 2]])
 
 
 class TestCandidateChannels:
@@ -100,30 +90,28 @@ class TestCandidateChannels:
 
 class TestLatticeLaws:
     def _random_vectors(self, rng, count):
-        return [
-            vector(rng.integers(0, 3, size=N_CH), owner=k) for k in range(count)
-        ]
+        return [rng.integers(0, 3, size=N_CH) for _ in range(count)]
 
     def test_commutative_associative_idempotent(self):
         rng = np.random.default_rng(17)
         for _ in range(1000):
             a, b, c = self._random_vectors(rng, 3)
-            ab = fuse_decisions(a, [b]).beliefs
-            ba = fuse_decisions(b, [a]).beliefs
+            ab = fuse_decisions([a, b])
+            ba = fuse_decisions([b, a])
             assert np.array_equal(ab, ba)
-            ab_c = fuse_decisions(vector(ab), [c]).beliefs
-            bc = fuse_decisions(b, [c]).beliefs
-            a_bc = fuse_decisions(a, [vector(bc)]).beliefs
+            ab_c = fuse_decisions([ab, c])
+            bc = fuse_decisions([b, c])
+            a_bc = fuse_decisions([a, bc])
             assert np.array_equal(ab_c, a_bc)
-            assert np.array_equal(fuse_decisions(a, [a]).beliefs, a.beliefs)
+            assert np.array_equal(fuse_decisions([a, a]), a)
 
     def test_super_vector_upgrade_rules(self):
         rng = np.random.default_rng(23)
         for _ in range(500):
-            own = vector(rng.integers(0, 3, size=N_CH))
+            own = rng.integers(0, 3, size=N_CH)
             others = self._random_vectors(rng, int(rng.integers(0, 4)))
-            merged = fuse_decisions(own, others).beliefs
-            stack = np.stack([own.beliefs] + [o.beliefs for o in others])
+            merged = fuse_decisions([own, *others])
+            stack = np.stack([own, *others])
             for c in range(N_CH):
                 inputs = stack[:, c]
                 if (inputs == Belief.OCCUPIED).any():
@@ -147,22 +135,20 @@ def test_two_hop_reach_on_random_topologies():
                     adjacency[j].add(i)
         actions = rng.integers(0, n_ch, size=n_nodes)
         verdicts = rng.choice([Belief.VACANT, Belief.OCCUPIED], size=n_nodes)
-        all_obs = [
-            obs(i, int(actions[i]), verdicts[i]) for i in range(n_nodes)
-        ]
+        members = [[i, *sorted(adjacency[i])] for i in range(n_nodes)]
         decisions = [
-            fuse_observations(all_obs[i], [all_obs[j] for j in sorted(adjacency[i])], n_ch)
-            for i in range(n_nodes)
+            fuse_observations(
+                [int(actions[j]) for j in m], [verdicts[j] for j in m], n_ch
+            )
+            for m in members
         ]
         for i in range(n_nodes):
-            merged = fuse_decisions(
-                decisions[i], [decisions[j] for j in sorted(adjacency[i])]
-            )
+            merged = fuse_decisions([decisions[j] for j in members[i]])
             two_hop = {i} | adjacency[i]
             for j in adjacency[i]:
                 two_hop |= adjacency[j]
             expected = {int(actions[j]) for j in two_hop}
             known = {
-                c for c in range(n_ch) if merged.beliefs[c] != Belief.UNKNOWN
+                c for c in range(n_ch) if merged[c] != Belief.UNKNOWN
             }
             assert known == expected
