@@ -14,7 +14,7 @@ from .engine import (
 from .fusion import Belief
 from .jammers import JammerChain, init_chains
 from .network import NeighborGraph, Placement, build_neighbor_graph, default_placement
-from .policies import PolicyInput, PolicyKind, QParams
+from .policies import PolicyKind, QParams
 from .sensing import (
     DetectionParams,
     FadingKind,
@@ -37,7 +37,6 @@ __all__ = [
     "JammerChain",
     "NeighborGraph",
     "Placement",
-    "PolicyInput",
     "PolicyKind",
     "ProbabilityGrid",
     "QParams",

@@ -50,14 +50,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """Named scenario bundle: shared deltas plus one curve per variant."""
+    """Named scenario bundle: shared deltas, run once per policy curve."""
 
     name: str
     description: str
     base: Dict
-    curves: Tuple[Tuple[str, Dict], ...]
 
 
+# Every preset runs these curves: one per policy.
 _POLICY_CURVES = (
     ("pseudo_random", {"policy": "pseudo_random"}),
     ("uniform", {"policy": "uniform"}),
@@ -71,31 +71,26 @@ PRESETS: Dict[str, ExperimentPreset] = {
             name="jdr-awgn",
             description="Detection-ratio comparison of the three policies, AWGN",
             base={"fading": "awgn"},
-            curves=_POLICY_CURVES,
         ),
         ExperimentPreset(
             name="jdr-rayleigh",
             description="Detection-ratio comparison of the three policies, Rayleigh",
             base={"fading": "rayleigh"},
-            curves=_POLICY_CURVES,
         ),
         ExperimentPreset(
             name="jdr-awgn-20ch",
             description="AWGN detection ratio with the band doubled to 20 channels",
             base={"fading": "awgn", "n_fb": 20},
-            curves=_POLICY_CURVES,
         ),
         ExperimentPreset(
             name="tsr-local",
             description="Success rate using local decision vectors only, AWGN",
             base={"fading": "awgn", "use_super_decision": False},
-            curves=_POLICY_CURVES,
         ),
         ExperimentPreset(
             name="tsr-super",
             description="Success rate using super-decision vectors, AWGN",
             base={"fading": "awgn", "use_super_decision": True},
-            curves=_POLICY_CURVES,
         ),
     )
 }
@@ -321,11 +316,20 @@ def _check_exportable(config: SimConfig) -> None:
         raise ConfigError(str(exc))
 
 
+def _make_out_dir(out_dir) -> Path:
+    """Create the output directory; a path that cannot be one is a ConfigError."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir}: cannot create directory ({exc.strerror})")
+    return out_dir
+
+
 def export_grid(config: SimConfig, out_dir) -> List[Path]:
     """Write the AWGN table and the Rayleigh m=1 column as CSV files."""
     _check_exportable(config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(out_dir)
     snr_range = (config.grid_snr_min_db, config.grid_snr_max_db, config.grid_snr_step_db)
     awgn = build_awgn_grid(config.detection, *snr_range, config.grid_m_max)
     rayleigh = build_rayleigh_grid(config.detection, *snr_range)
@@ -380,12 +384,11 @@ def run_experiment(
 ) -> List[Path]:
     """Run every (label, config) curve and write all artifacts.
 
-    Both tables are checked before any file is created; on failure partway
-    through, files written so far are removed.
+    Both tables and the output directory are checked before any run; on
+    failure partway through, files written so far are removed.
     """
     _check_exportable(curves[0][1])
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(out_dir)
     written: List[Path] = []
     results: List[Tuple[str, SimConfig, BatchResult]] = []
     try:
@@ -475,7 +478,7 @@ def _curves_for(args: argparse.Namespace) -> List[Tuple[str, SimConfig]]:
         where = f"preset {preset.name}"
         return [
             (label, config_from_dict({**preset.base, **deltas, **overrides}, where))
-            for label, deltas in preset.curves
+            for label, deltas in _POLICY_CURVES
         ]
     data = _read_json(args.config) if args.config else {}
     where = str(args.config or "command line")

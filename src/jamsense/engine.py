@@ -40,7 +40,6 @@ from .network import (
     snr_at_node,
 )
 from .policies import (
-    PolicyInput,
     PolicyKind,
     QParams,
     choose_action_pseudo_random,
@@ -293,23 +292,15 @@ def _run_world(world: _World) -> RunRecord:
 
     # Initial actions: one uniform channel per node.
     actions = [int(a) for a in world.policy_rng.integers(0, n_fb, size=n)]
-    q = config.qlearning
+    policy, q = config.policy, config.qlearning
     # Action values per (node, channel), used by q-learning only.
-    q_table = np.zeros((n, n_fb)) if config.policy is PolicyKind.QLEARNING else None
-    # The policy is chosen once; each call looks its function up by name.
-    choose = {
-        PolicyKind.PSEUDO_RANDOM: lambda inp: choose_action_pseudo_random(
-            inp, config.epsilon_n
-        ),
-        PolicyKind.UNIFORM: lambda inp: choose_action_uniform(inp),
-        PolicyKind.QLEARNING: lambda inp: choose_action_qlearning(inp, q, q_table),
-    }[config.policy]
+    q_table = np.zeros((n, n_fb)) if policy is PolicyKind.QLEARNING else None
     graph = world.graph
-    neighbors = graph.neighbors
     fuse_index, starts, owner = graph.fuse_index, graph.fuse_starts, graph.fuse_owner
-    # Node i's segment fuse_index[bounds[i] : bounds[i + 1]] is node i,
-    # then its neighbours.
+    # Node i's segment fuse_index[lo:hi], (lo, hi) = segments[i], is node
+    # i, then its neighbours.
     bounds = starts.tolist() + [len(fuse_index)]
+    segments = list(zip(bounds, bounds[1:]))
     nodes = np.arange(n)
     awgn = config.fading is FadingKind.AWGN
     occupied, vacant = int(Belief.OCCUPIED), int(Belief.VACANT)
@@ -369,29 +360,30 @@ def _run_world(world: _World) -> RunRecord:
         fused_obs = verdicts[fuse_index].tolist()
         decision_log[t] = [
             fuse_observations(fused_acts[lo:hi], fused_obs[lo:hi], n_fb)
-            for lo, hi in zip(bounds, bounds[1:])
+            for lo, hi in segments
         ]
 
         # Next actions from this step's observations and neighbor channels.
-        if q_table is not None:
-            rewards = [1.0 if o == occupied else 0.0 for o in observations]
-            for i in range(n):
-                update_q(q, q_table, i, actions[i], rewards[i])
-                for j in neighbors[i]:
-                    update_q(q, q_table, i, actions[j], rewards[j])
-        next_actions = [
-            choose(
-                PolicyInput(
-                    node=i,
-                    own_action=actions[i],
-                    observation=observations[i],
-                    neighbor_channels=tuple(fused_acts[bounds[i] + 1 : bounds[i + 1]]),
-                    n_channels=n_fb,
-                    rng=policy_rng,
+        if policy is PolicyKind.PSEUDO_RANDOM:
+            next_actions = [
+                choose_action_pseudo_random(
+                    actions[i], observations[i], fused_acts[lo + 1 : hi],
+                    n_fb, policy_rng, config.epsilon_n,
                 )
-            )
-            for i in range(n)
-        ]
+                for i, (lo, hi) in enumerate(segments)
+            ]
+        elif policy is PolicyKind.UNIFORM:
+            next_actions = [choose_action_uniform(n_fb, policy_rng) for _ in range(n)]
+        else:
+            # Each node's row learns from its segment (the node, then its
+            # neighbours) before any node picks.
+            for row, (lo, hi) in zip(q_table, segments):
+                for k in range(lo, hi):
+                    reward = 1.0 if fused_obs[k] == occupied else 0.0
+                    update_q(q, row, fused_acts[k], reward)
+            next_actions = [
+                choose_action_qlearning(row, q, policy_rng) for row in q_table
+            ]
         # One pointer per index entry each; freed before super-decision fusion.
         del fused_acts, fused_obs
 

@@ -13,15 +13,17 @@ Three strategies are provided:
   faithful reimplementation of any published one; treat its results as a
   rough baseline only.
 
-Policies are pure functions of their inputs and the RNG stream: with a
-fixed seed and fixed inputs they are replay-identical.
+Each policy takes only the values it reads.  The choices are pure
+functions of their arguments and the RNG stream: with a fixed seed and
+fixed arguments they are replay-identical.  `update_q` is the one
+exception to purity: it updates in place the table row it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -36,23 +38,18 @@ class PolicyKind(Enum):
     QLEARNING = "qlearning"
 
 
-@dataclass
-class PolicyInput:
-    """Everything a policy may look at when picking the next channel.
-
-    Of its neighbours a node sees only the channels they are sensing.
-    """
-
-    node: int
-    own_action: int
-    observation: int  # Belief verdict of the channel just sensed
-    neighbor_channels: Tuple[int, ...]  # neighbours' channels, in listed order
-    n_channels: int
-    rng: np.random.Generator
-
-
-def choose_action_pseudo_random(inp: PolicyInput, epsilon_n: float = 0.1) -> int:
+def choose_action_pseudo_random(
+    own_action: int,
+    observation: int,
+    neighbor_channels: Sequence[int],
+    n_channels: int,
+    rng: np.random.Generator,
+    epsilon_n: float,
+) -> int:
     """Sticky/exploit/explore selection.
+
+    `observation` is the Belief verdict of the channel just sensed, and
+    `neighbor_channels` the channels the neighbours sense, in listed order.
 
     1. After observing a jammer, sense the same channel again.
     2. Otherwise draw u ~ U(0,1); if u <= epsilon_n and there are
@@ -63,25 +60,24 @@ def choose_action_pseudo_random(inp: PolicyInput, epsilon_n: float = 0.1) -> int
     """
     if not 0.0 <= epsilon_n <= 1.0:
         raise ValueError(f"epsilon_n={epsilon_n} outside [0, 1]")
-    if inp.observation == _OCCUPIED:
-        return inp.own_action
-    u = inp.rng.random()
-    if u <= epsilon_n and inp.neighbor_channels:
-        idx = int(inp.rng.integers(len(inp.neighbor_channels)))
-        return inp.neighbor_channels[idx]
-    excluded = {inp.own_action}
-    excluded.update(inp.neighbor_channels)
-    pool = [c for c in range(inp.n_channels) if c not in excluded]
+    if observation == _OCCUPIED:
+        return own_action
+    u = rng.random()
+    if u <= epsilon_n and neighbor_channels:
+        return neighbor_channels[int(rng.integers(len(neighbor_channels)))]
+    excluded = {own_action}
+    excluded.update(neighbor_channels)
+    pool = [c for c in range(n_channels) if c not in excluded]
     if not pool:
-        pool = [c for c in range(inp.n_channels) if c != inp.own_action]
+        pool = [c for c in range(n_channels) if c != own_action]
     if not pool:  # single-channel band: nothing else to switch to
-        return inp.own_action
-    return pool[int(inp.rng.integers(len(pool)))]
+        return own_action
+    return pool[int(rng.integers(len(pool)))]
 
 
-def choose_action_uniform(inp: PolicyInput) -> int:
-    """Uniform over all channels, independent of observations and neighbors."""
-    return int(inp.rng.integers(inp.n_channels))
+def choose_action_uniform(n_channels: int, rng: np.random.Generator) -> int:
+    """Uniform over all channels."""
+    return int(rng.integers(n_channels))
 
 
 @dataclass(frozen=True)
@@ -101,21 +97,20 @@ class QParams:
             raise ValueError(f"epsilon={self.epsilon} outside [0, 1]")
 
 
-def choose_action_qlearning(inp: PolicyInput, q: QParams, table: np.ndarray) -> int:
-    """Epsilon-greedy over the node's action values (ties: lowest index)."""
-    if inp.rng.random() < q.epsilon:
-        return int(inp.rng.integers(inp.n_channels))
-    return int(np.argmax(table[inp.node, : inp.n_channels]))
+def choose_action_qlearning(
+    row: np.ndarray, q: QParams, rng: np.random.Generator
+) -> int:
+    """Epsilon-greedy over one node's action values (ties: lowest index)."""
+    if rng.random() < q.epsilon:
+        return int(rng.integers(len(row)))
+    return int(np.argmax(row))
 
 
-def update_q(
-    q: QParams, table: np.ndarray, node: int, action: int, reward: float
-) -> None:
-    """One bandit-style update: Q += lr * (r + discount*max(Q_row) - Q).
+def update_q(q: QParams, row: np.ndarray, action: int, reward: float) -> None:
+    """One bandit-style update: Q += lr * (r + discount*max(row) - Q).
 
-    The bootstrap max is taken over the node's row before the update.
-    `table` (nodes x channels) is updated in place.
+    The bootstrap max is taken over the row before the update.  `row` is
+    one node's action values, updated in place.
     """
-    row = table[node]
     best = float(row.max())
     row[action] += q.learning_rate * (reward + q.discount * best - row[action])

@@ -15,7 +15,6 @@ from jamsense.engine import JAMMED, SKIPPED, SUCCESSFUL, RunRecord
 from jamsense.fusion import Belief, fuse_decisions, fuse_observations
 from jamsense.network import NeighborGraph, build_neighbor_graph
 from jamsense.policies import (
-    PolicyInput,
     PolicyKind,
     choose_action_pseudo_random,
     choose_action_qlearning,
@@ -115,7 +114,8 @@ def _check_policy_replay(record: RunRecord, graph: NeighborGraph) -> int:
     """Replay the policy functions on a fresh policy stream; return the checks.
 
     Every action the record holds must be what the policy spec returns for
-    the recorded step, with each node's input built from its neighbour list.
+    the recorded step, with each node's neighbour channels read from its
+    neighbour list.
     Under q-learning each node's values are updated, from its own reward
     and then its neighbours', before any node picks.
     """
@@ -124,13 +124,6 @@ def _check_policy_replay(record: RunRecord, graph: NeighborGraph) -> int:
     rng = rngmod.substream(record.run_seed, rngmod.POLICY)
     assert np.array_equal(rng.integers(0, n_fb, size=n), record.actions[0])
     q, table = config.qlearning, np.zeros((n, n_fb))
-    choose = {
-        PolicyKind.PSEUDO_RANDOM: lambda inp: choose_action_pseudo_random(
-            inp, config.epsilon_n
-        ),
-        PolicyKind.UNIFORM: choose_action_uniform,
-        PolicyKind.QLEARNING: lambda inp: choose_action_qlearning(inp, q, table),
-    }[config.policy]
     occupied = int(Belief.OCCUPIED)
     checks = 1
     for t in range(len(record) - 1):
@@ -140,18 +133,23 @@ def _check_policy_replay(record: RunRecord, graph: NeighborGraph) -> int:
         if config.policy is PolicyKind.QLEARNING:
             rewards = [1.0 if o == occupied else 0.0 for o in observations]
             for i in range(n):
-                update_q(q, table, i, actions[i], rewards[i])
+                update_q(q, table[i], actions[i], rewards[i])
                 for j in graph.neighbors[i]:
-                    update_q(q, table, i, actions[j], rewards[j])
+                    update_q(q, table[i], actions[j], rewards[j])
         for i in range(n):
-            inp = PolicyInput(
-                node=i,
-                own_action=actions[i],
-                observation=observations[i],
-                neighbor_channels=tuple(actions[j] for j in graph.neighbors[i]),
-                n_channels=n_fb,
-                rng=rng,
-            )
-            assert choose(inp) == next_actions[i], (t, i)
+            if config.policy is PolicyKind.PSEUDO_RANDOM:
+                choice = choose_action_pseudo_random(
+                    actions[i],
+                    observations[i],
+                    [actions[j] for j in graph.neighbors[i]],
+                    n_fb,
+                    rng,
+                    config.epsilon_n,
+                )
+            elif config.policy is PolicyKind.UNIFORM:
+                choice = choose_action_uniform(n_fb, rng)
+            else:
+                choice = choose_action_qlearning(table[i], q, rng)
+            assert choice == next_actions[i], (t, i)
             checks += 1
     return checks

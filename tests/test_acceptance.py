@@ -22,7 +22,7 @@ from jamsense.cli import main
 from jamsense.engine import SimConfig, run, run_batch
 from jamsense.fusion import Belief
 from jamsense.jammers import JammerChain, step as step_chain
-from jamsense.policies import PolicyInput, PolicyKind, choose_action_pseudo_random
+from jamsense.policies import PolicyKind, choose_action_pseudo_random
 from jamsense.sensing import DetectionParams, FadingKind, marcum_q, p_d_rayleigh_single
 
 from invariants import check_structural_invariants
@@ -233,11 +233,9 @@ def test_criterion_10_property_suites():
     rng = np.random.default_rng(777)
     counts = np.zeros(10, dtype=int)
     for _ in range(draws):
-        inp = PolicyInput(
-            node=0, own_action=0, observation=Belief.VACANT,
-            neighbor_channels=(1, 2), n_channels=10, rng=rng,
-        )
-        counts[choose_action_pseudo_random(inp, epsilon)] += 1
+        counts[
+            choose_action_pseudo_random(0, Belief.VACANT, (1, 2), 10, rng, epsilon)
+        ] += 1
     expected = np.array(
         [0.0] + [epsilon / 2] * 2 + [(1 - epsilon) / 7] * 7
     ) * draws
@@ -249,11 +247,10 @@ def test_criterion_10_property_suites():
 
     # Sticky branch is deterministic.
     for k in range(1000):
-        inp = PolicyInput(
-            node=0, own_action=k % 10, observation=Belief.OCCUPIED,
-            neighbor_channels=((k + 1) % 10,), n_channels=10, rng=rng,
+        choice = choose_action_pseudo_random(
+            k % 10, Belief.OCCUPIED, ((k + 1) % 10,), 10, rng, epsilon
         )
-        violations += choose_action_pseudo_random(inp, epsilon) != k % 10
+        violations += choice != k % 10
         checks += 1
 
     # Per-step structural invariants over fuzzed configurations.

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jamsense.cli import (
+    _POLICY_CURVES,
     ConfigError,
     PRESETS,
     config_from_dict,
@@ -443,6 +444,30 @@ class TestMain:
         assert field in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "export-grid"])
+    @pytest.mark.parametrize("below_file", [False, True])
+    def test_bad_out_exit_two_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, below_file
+    ):
+        # --out is an existing file, or a path below one.
+        import jamsense.cli as cli
+
+        batches = []
+        monkeypatch.setattr(cli, "run_batch", lambda *a, **k: batches.append(a))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep me\n")
+        out = blocker / "sub" if below_file else blocker
+        argv = [command, "--out", str(out)]
+        if command == "run":
+            argv += ["--preset", "tsr-local", "--replications", "1", "--horizon", "3"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "--out" in err
+        assert blocker.read_text() == "keep me\n"
+        assert sorted(tmp_path.iterdir()) == [blocker]
+        assert batches == []
+
     def test_config_validated_once_per_curve(self, tmp_path, monkeypatch):
         calls = []
         validate = SimConfig.validate
@@ -455,7 +480,7 @@ class TestMain:
         argv = ["run", "--preset", "tsr-super", "--replications", "3",
                 "--horizon", "5", "--trace", "--out", str(tmp_path / "out")]
         assert main(argv) == 0
-        assert len(calls) == len(PRESETS["tsr-super"].curves) == 3
+        assert len(calls) == len(_POLICY_CURVES) == 3
 
     def test_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 2, "horizon": 20, "replications": 1})
@@ -512,10 +537,10 @@ def test_preset_definitions_consistent():
     assert set(PRESETS) == {
         "jdr-awgn", "jdr-rayleigh", "jdr-awgn-20ch", "tsr-local", "tsr-super"
     }
+    labels = [label for label, _ in _POLICY_CURVES]
+    assert len(labels) == len(set(labels))
     for preset in PRESETS.values():
-        labels = [label for label, _ in preset.curves]
-        assert len(labels) == len(set(labels))
-        for label, deltas in preset.curves:
+        for label, deltas in _POLICY_CURVES:
             merged = dict(preset.base)
             merged.update(deltas)
             config = config_from_dict(merged, where=f"preset {preset.name}")

@@ -520,6 +520,10 @@ MODE_MATRIX = {
         placement=ISOLATED_PLACEMENT, fading=FadingKind.RAYLEIGH
     ),
     "one-channel": dict(n_fb=1),
+    "uniform": dict(policy=PolicyKind.UNIFORM),
+    "isolated-node-qlearning": dict(
+        placement=ISOLATED_PLACEMENT, policy=PolicyKind.QLEARNING
+    ),
 }
 
 
@@ -540,10 +544,12 @@ PINNED_MODE_SHA256 = {
     "global-qlearning": "2a3a1e228579fca5cc6148d89e554d66f453027cc16da44739645138e854fd95",
     "independent-draws": "b78834ccdd27fc8260835e119117fd14d4da0b6ef9799eb36b662f56822579c0",
     "isolated-node": "4db5d8f09668889e79ef955971910f421b6c19df293b203fec5dfdd51041154b",
+    "isolated-node-qlearning": "261d74fda15a8ad1ab766c41b6532409678be632ed1cc0f01125657233e94ae0",
     "isolated-node-rayleigh": "8daff374580caa2837fd16afe689947b0cc11478773c0aa7b078cc279704fafd",
     "no-super-decision": "bec9068468b82ed56dc0993910bc6036754b6c35f2c530b7ce8bb8d530216882",
     "one-channel": "e317c8c61d8d0c72ef55f8338611820d4f202c9984eb609b2d5a45abc0b30903",
     "rayleigh-exact-independent": "0dd64330498974eb5e51f9d70699ca3934b12debafcf16cc360394e4ba0690d9",
     "rayleigh-global": "96a50c9ca151ae56f823cb62a7818e93042c9a3ebc6921483d575aef7db677af",
     "rayleigh-local": "6fd29570d6dbad253a5ed8d9f7fe341033cddb2a79278acdddcbb3d55eaecb25",
+    "uniform": "38947e1c56a3c4d8a3fb3e3665413112292f5447091b10d7e43a9b3a55a4e9e4",
 }

@@ -6,7 +6,6 @@ from scipy import stats
 
 from jamsense.fusion import Belief
 from jamsense.policies import (
-    PolicyInput,
     QParams,
     choose_action_pseudo_random,
     choose_action_qlearning,
@@ -15,38 +14,18 @@ from jamsense.policies import (
 )
 
 
-def make_input(
-    own_action=0,
-    observation=Belief.VACANT,
-    neighbor_channels=(),
-    n_channels=10,
-    rng=None,
-    node=0,
-):
-    return PolicyInput(
-        node=node,
-        own_action=own_action,
-        observation=observation,
-        neighbor_channels=tuple(neighbor_channels),
-        n_channels=n_channels,
-        rng=rng if rng is not None else np.random.default_rng(0),
-    )
-
-
 class TestPseudoRandom:
     def test_occupied_repeats_own_action(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            inp = make_input(own_action=4, observation=Belief.OCCUPIED, rng=rng)
-            assert choose_action_pseudo_random(inp, 0.1) == 4
+            choice = choose_action_pseudo_random(4, Belief.OCCUPIED, [], 10, rng, 0.1)
+            assert choice == 4
 
     def test_forced_exploitation_single_neighbor(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            inp = make_input(
-                own_action=0, neighbor_channels=[7], rng=rng
-            )
-            assert choose_action_pseudo_random(inp, 1.0) == 7
+            choice = choose_action_pseudo_random(0, Belief.VACANT, [7], 10, rng, 1.0)
+            assert choice == 7
 
     def test_exploration_uniform_over_complement(self):
         # epsilon 0, own action 0, neighbors on 1 and 2: uniform over 3..9.
@@ -54,10 +33,9 @@ class TestPseudoRandom:
         counts = np.zeros(10, dtype=int)
         draws = 100_000
         for _ in range(draws):
-            inp = make_input(
-                own_action=0, neighbor_channels=[1, 2], rng=rng
-            )
-            counts[choose_action_pseudo_random(inp, 0.0)] += 1
+            counts[
+                choose_action_pseudo_random(0, Belief.VACANT, [1, 2], 10, rng, 0.0)
+            ] += 1
         assert counts[:3].sum() == 0
         chi2 = ((counts[3:] - draws / 7) ** 2 / (draws / 7)).sum()
         assert chi2 < stats.chi2.ppf(0.99, 6)
@@ -68,8 +46,11 @@ class TestPseudoRandom:
         counts = {3: 0, 5: 0, 8: 0}
         draws = 30_000
         for _ in range(draws):
-            inp = make_input(neighbor_channels=neighbor_channels, rng=rng)
-            counts[choose_action_pseudo_random(inp, 1.0)] += 1
+            counts[
+                choose_action_pseudo_random(
+                    0, Belief.VACANT, neighbor_channels, 10, rng, 1.0
+                )
+            ] += 1
         chi2 = sum((c - draws / 3) ** 2 / (draws / 3) for c in counts.values())
         assert chi2 < stats.chi2.ppf(0.99, 2)
 
@@ -77,8 +58,7 @@ class TestPseudoRandom:
         rng = np.random.default_rng(5)
         seen = set()
         for _ in range(200):
-            inp = make_input(own_action=2, neighbor_channels=[], rng=rng)
-            choice = choose_action_pseudo_random(inp, 1.0)
+            choice = choose_action_pseudo_random(2, Belief.VACANT, [], 10, rng, 1.0)
             assert choice != 2
             seen.add(choice)
         assert len(seen) == 9
@@ -87,17 +67,12 @@ class TestPseudoRandom:
         # Self and neighbors cover the whole band: anything but own.
         rng = np.random.default_rng(6)
         for _ in range(50):
-            inp = make_input(
-                own_action=0,
-                neighbor_channels=[1],
-                n_channels=2,
-                rng=rng,
-            )
-            assert choose_action_pseudo_random(inp, 0.0) == 1
+            choice = choose_action_pseudo_random(0, Belief.VACANT, [1], 2, rng, 0.0)
+            assert choice == 1
 
     def test_single_channel_band(self):
-        inp = make_input(own_action=0, n_channels=1)
-        assert choose_action_pseudo_random(inp, 0.0) == 0
+        rng = np.random.default_rng(0)
+        assert choose_action_pseudo_random(0, Belief.VACANT, [], 1, rng, 0.0) == 0
 
     def test_in_range_fuzzed(self):
         rng = np.random.default_rng(7)
@@ -106,26 +81,26 @@ class TestPseudoRandom:
             own = int(rng.integers(n))
             k = int(rng.integers(0, 4))
             neighbor_channels = [int(rng.integers(n)) for _ in range(k)]
-            inp = make_input(
-                own_action=own,
-                observation=rng.choice([Belief.VACANT, Belief.OCCUPIED]),
-                neighbor_channels=neighbor_channels,
-                n_channels=n,
-                rng=rng,
+            choice = choose_action_pseudo_random(
+                own,
+                rng.choice([Belief.VACANT, Belief.OCCUPIED]),
+                neighbor_channels,
+                n,
+                rng,
+                float(rng.random()),
             )
-            assert 0 <= choose_action_pseudo_random(inp, float(rng.random())) < n
+            assert 0 <= choice < n
 
     def test_replay_identical(self):
         def trace(seed):
             rng = np.random.default_rng(seed)
             out = []
             for k in range(300):
-                inp = make_input(
-                    own_action=k % 10,
-                    neighbor_channels=[(k * 3) % 10],
-                    rng=rng,
+                out.append(
+                    choose_action_pseudo_random(
+                        k % 10, Belief.VACANT, [(k * 3) % 10], 10, rng, 0.3
+                    )
                 )
-                out.append(choose_action_pseudo_random(inp, 0.3))
             return out
 
         assert trace(99) == trace(99)
@@ -133,69 +108,56 @@ class TestPseudoRandom:
 
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            choose_action_pseudo_random(make_input(), 1.5)
+            choose_action_pseudo_random(
+                0, Belief.VACANT, [], 10, np.random.default_rng(0), 1.5
+            )
 
 
 class TestUniform:
     def test_single_channel(self):
-        assert choose_action_uniform(make_input(n_channels=1)) == 0
+        assert choose_action_uniform(1, np.random.default_rng(0)) == 0
 
     def test_uniform_distribution(self):
         rng = np.random.default_rng(8)
         counts = np.zeros(10, dtype=int)
         draws = 100_000
         for _ in range(draws):
-            counts[choose_action_uniform(make_input(rng=rng))] += 1
+            counts[choose_action_uniform(10, rng)] += 1
         chi2 = ((counts - draws / 10) ** 2 / (draws / 10)).sum()
         assert chi2 < stats.chi2.ppf(0.99, 9)
-
-    def test_independent_of_observation_and_neighbors(self):
-        # Same stream state -> same choice no matter the conditioning.
-        for seed in range(40):
-            a = choose_action_uniform(
-                make_input(observation=Belief.VACANT, rng=np.random.default_rng(seed))
-            )
-            b = choose_action_uniform(
-                make_input(
-                    observation=Belief.OCCUPIED,
-                    neighbor_channels=[4],
-                    own_action=7,
-                    rng=np.random.default_rng(seed),
-                )
-            )
-            assert a == b
 
 
 class TestQLearning:
     def test_greedy_all_zero_table_picks_lowest_index(self):
         q, table = QParams(epsilon=0.0), np.zeros((2, 10))
         rng = np.random.default_rng(9)
-        assert choose_action_qlearning(make_input(rng=rng), q, table) == 0
+        assert choose_action_qlearning(table[0], q, rng) == 0
 
     def test_argmax_ties_break_low(self):
         q, table = QParams(epsilon=0.0), np.zeros((1, 5))
         table[0] = [0.0, 2.0, 2.0, 1.0, 0.0]
-        assert choose_action_qlearning(make_input(n_channels=5), q, table) == 1
+        rng = np.random.default_rng(0)
+        assert choose_action_qlearning(table[0], q, rng) == 1
 
     def test_argmax_invariant_under_positive_scaling(self):
         q, table = QParams(epsilon=0.0), np.zeros((1, 6))
         rng = np.random.default_rng(10)
         table[0] = rng.uniform(0, 1, 6)
-        before = choose_action_qlearning(make_input(n_channels=6), q, table)
+        before = choose_action_qlearning(table[0], q, rng)
         table[0] *= 37.0
-        assert choose_action_qlearning(make_input(n_channels=6), q, table) == before
+        assert choose_action_qlearning(table[0], q, rng) == before
 
     def test_single_channel_fixed_point(self):
         # Constant reward 1 on the only channel: Q -> r / (1 - discount).
         q, table = QParams(learning_rate=0.5, discount=0.9), np.zeros((1, 1))
         for _ in range(2000):
-            update_q(q, table, 0, 0, 1.0)
+            update_q(q, table[0], 0, 1.0)
         assert table[0, 0] == pytest.approx(1.0 / (1.0 - 0.9), rel=1e-9)
 
     def test_update_rule_arithmetic(self):
         q, table = QParams(learning_rate=0.25, discount=0.5), np.zeros((1, 3))
         table[0] = [1.0, 4.0, 2.0]
-        update_q(q, table, 0, 2, 1.0)
+        update_q(q, table[0], 2, 1.0)
         # target = r + discount * max(row) = 1 + 0.5*4 = 3; Q += 0.25*(3-2)
         assert table[0, 2] == pytest.approx(2.25)
 
@@ -204,10 +166,32 @@ class TestQLearning:
         table[0, 3] = 100.0
         rng = np.random.default_rng(11)
         seen = {
-            choose_action_qlearning(make_input(n_channels=8, rng=rng), q, table)
-            for _ in range(400)
+            choose_action_qlearning(table[0], q, rng) for _ in range(400)
         }
         assert seen == set(range(8))
+
+    def test_update_changes_only_the_given_row_in_place(self):
+        # The engine passes q_table[i]; learning depends on it being a view.
+        q = QParams(learning_rate=0.25, discount=0.5)
+        table = np.random.default_rng(12).uniform(0, 1, (4, 6))
+        before = table.copy()
+        update_q(q, table[2], 3, 1.0)
+        expected = before[2, 3] + 0.25 * (1.0 + 0.5 * before[2].max() - before[2, 3])
+        assert table[2, 3] == expected
+        changed = table != before
+        assert changed.sum() == 1 and changed[2, 3]
+
+    def test_explore_draws_over_row_length(self):
+        # Epsilon 1: one double, then a channel drawn over len(row).
+        q = QParams(epsilon=1.0)
+        for width in (1, 3, 7):
+            row = np.zeros((2, width))[1]
+            for seed in range(20):
+                expected_rng = np.random.default_rng(seed)
+                expected_rng.random()
+                expected = int(expected_rng.integers(width))
+                choice = choose_action_qlearning(row, q, np.random.default_rng(seed))
+                assert choice == expected
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
