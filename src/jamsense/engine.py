@@ -67,6 +67,7 @@ SUCCESSFUL = 1
 JAMMED = 2
 
 _INT16_MAX = np.iinfo(np.int16).max
+_SEED_MAX = (1 << 64) - 1
 # Bounds the memory and set-up time of the AWGN detection table (the
 # reference table has 16 x 6 entries).
 _GRID_MAX_ENTRIES = 10_000
@@ -115,6 +116,10 @@ class SimConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        # derive_seed reads the seed as 64 bits; outside them two seeds
+        # would give one run.
+        if not 0 <= self.seed <= _SEED_MAX:
+            raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
         if not 0.0 <= self.epsilon_n <= 1.0:
             raise ValueError(f"epsilon_n={self.epsilon_n} outside [0, 1]")
         lo, hi = self.jammer_bounds
@@ -223,8 +228,12 @@ class _World:
         self.graph = build_neighbor_graph(self.placement)
         self.chains = init_chains(config.n_fb, config.jammer_bounds, run_seed)
         self.sensing_rng = rngmod.substream(run_seed, rngmod.SENSING)
-        self.policy_rng = rngmod.substream(run_seed, rngmod.POLICY)
-        self.transmit_rng = rngmod.substream(run_seed, rngmod.TRANSMIT)
+        # The policy and transmit streams draw one scalar at a time, which
+        # WordDraws serves from raw words with Generator's exact values.
+        self.policy_rng = rngmod.WordDraws(rngmod.substream(run_seed, rngmod.POLICY))
+        self.transmit_rng = rngmod.WordDraws(
+            rngmod.substream(run_seed, rngmod.TRANSMIT)
+        )
 
         n = config.n_wn
         params = config.detection
@@ -287,14 +296,21 @@ def _run_world(world: _World) -> RunRecord:
         if config.use_super_decision
         else None
     )
-    transmit_log = np.full((horizon, n), -1, dtype=np.int16)
-    outcome_log = np.zeros((horizon, n), dtype=np.int8)
+    # Written whole, one row per step.
+    transmit_log = np.empty((horizon, n), dtype=np.int16)
+    outcome_log = np.empty((horizon, n), dtype=np.int8)
 
-    # Initial actions: one uniform channel per node.
-    actions = [int(a) for a in world.policy_rng.integers(0, n_fb, size=n)]
+    policy_rng = world.policy_rng
+    transmit_rng = world.transmit_rng
+    # Initial actions: one uniform channel per node, the values of
+    # Generator.integers(0, n_fb, size=n).
+    actions = [policy_rng.integers(n_fb) for _ in range(n)]
     policy, q = config.policy, config.qlearning
-    # Action values per (node, channel), used by q-learning only.
-    q_table = np.zeros((n, n_fb)) if policy is PolicyKind.QLEARNING else None
+    # Action values per (node, channel) as plain float rows, used by
+    # q-learning only.
+    q_table = (
+        [[0.0] * n_fb for _ in range(n)] if policy is PolicyKind.QLEARNING else None
+    )
     graph = world.graph
     fuse_index, starts, owner = graph.fuse_index, graph.fuse_starts, graph.fuse_owner
     # Node i's segment fuse_index[lo:hi], (lo, hi) = segments[i], is node
@@ -305,8 +321,6 @@ def _run_world(world: _World) -> RunRecord:
     awgn = config.fading is FadingKind.AWGN
     occupied, vacant = int(Belief.OCCUPIED), int(Belief.VACANT)
     chains = world.chains
-    policy_rng = world.policy_rng
-    transmit_rng = world.transmit_rng
 
     for t in range(horizon):
         # Jammer transitions happen once per step, before sensing; the
@@ -398,14 +412,18 @@ def _run_world(world: _World) -> RunRecord:
             )
             governing = super_log[t].tolist()
 
-        # Transmission sub-slot.
+        # Transmission sub-slot; a node with no candidate skips the step
+        # and makes no transmit draw.
+        transmits = [-1] * n
+        outcomes = [SKIPPED] * n
         for i in range(n):
             cands = candidate_channels(governing[i])
-            if not cands:
-                continue  # outcome stays SKIPPED, no transmit draw
-            channel = cands[int(transmit_rng.integers(len(cands)))]
-            transmit_log[t, i] = channel
-            outcome_log[t, i] = JAMMED if truth[channel] else SUCCESSFUL
+            if cands:
+                channel = cands[transmit_rng.integers(len(cands))]
+                transmits[i] = channel
+                outcomes[i] = JAMMED if truth[channel] else SUCCESSFUL
+        transmit_log[t] = transmits
+        outcome_log[t] = outcomes
 
         truth_log[t] = truth
         action_log[t] = actions

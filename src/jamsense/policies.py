@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import MutableSequence, Sequence
 
 import numpy as np
 
@@ -98,19 +98,25 @@ class QParams:
 
 
 def choose_action_qlearning(
-    row: np.ndarray, q: QParams, rng: np.random.Generator
+    row: Sequence[float], q: QParams, rng: np.random.Generator
 ) -> int:
-    """Epsilon-greedy over one node's action values (ties: lowest index)."""
+    """Epsilon-greedy over one node's action values (ties: lowest index).
+
+    `row` is a list of floats or a 1-d ndarray; either gives the same choice.
+    """
     if rng.random() < q.epsilon:
         return int(rng.integers(len(row)))
-    return int(np.argmax(row))
+    return max(range(len(row)), key=row.__getitem__)
 
 
-def update_q(q: QParams, row: np.ndarray, action: int, reward: float) -> None:
+def update_q(
+    q: QParams, row: MutableSequence[float], action: int, reward: float
+) -> None:
     """One bandit-style update: Q += lr * (r + discount*max(row) - Q).
 
     The bootstrap max is taken over the row before the update.  `row` is
-    one node's action values, updated in place.
+    one node's action values, a list of floats or a 1-d ndarray, updated in
+    place; both give bit-identical values.
     """
-    best = float(row.max())
+    best = max(row)
     row[action] += q.learning_rate * (reward + q.discount * best - row[action])

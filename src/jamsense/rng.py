@@ -48,3 +48,69 @@ def derive_seed(seed: int, *path: int) -> int:
 def substream(seed: int, *path: int) -> np.random.Generator:
     """PCG64 generator for the substream identified by (seed, path)."""
     return np.random.Generator(np.random.PCG64(derive_seed(seed, *path)))
+
+
+_BLOCK = 512               # raw words fetched per refill
+_TWO_M53 = 1.0 / (1 << 53)
+_MASK32 = (1 << 32) - 1
+
+
+class WordDraws:
+    """`random()` and `integers(k)` served from a PCG64 stream's raw words.
+
+    Value for value equal to the same calls on the `Generator` it wraps,
+    which it advances in blocks of raw words, so that generator must not be
+    drawn from afterwards.  `random()` is numpy's `(w >> 11) * 2**-53`.
+    `integers(k)` is numpy's bounded draw for a 32-bit range (Lemire, ACM
+    TOMACS 2019): each 32-bit value is the low half of a fresh word, then
+    the high half kept from it, and this kept half outlives `random()`
+    calls, as in numpy; k == 1 consumes nothing.
+    """
+
+    def __init__(self, gen: np.random.Generator):
+        bit_gen = gen.bit_generator
+        self._raw = bit_gen.random_raw
+        state = bit_gen.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._pop = [].pop
+
+    def _refill(self) -> int:
+        words = self._raw(_BLOCK).tolist()
+        words.reverse()
+        self._pop = words.pop
+        return words.pop()
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        try:
+            w = self._pop()
+        except IndexError:
+            w = self._refill()
+        self._half = w >> 32
+        return w & _MASK32
+
+    def random(self) -> float:
+        """Uniform double in [0, 1)."""
+        try:
+            w = self._pop()
+        except IndexError:
+            w = self._refill()
+        return (w >> 11) * _TWO_M53
+
+    def integers(self, k: int) -> int:
+        """Uniform integer in [0, k), for 1 <= k <= 2**32."""
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"integers(k) needs 1 <= k <= 2**32, got {k}")
+        if k == 1:
+            return 0
+        if k == 1 << 32:
+            return self._uint32()
+        m = self._uint32() * k
+        if m & _MASK32 < k:
+            threshold = ((1 << 32) - k) % k
+            while m & _MASK32 < threshold:
+                m = self._uint32() * k
+        return m >> 32

@@ -29,7 +29,6 @@ from enum import Enum
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy import special
 
 _SERIES_TAIL = 1e-14      # neglected Poisson mass in the Marcum Q series
 _SERIES_MAX_TERMS = 20000
@@ -181,6 +180,8 @@ def marcum_q(order: float, alpha: float, beta: float) -> float:
         return 1.0
     if u > _SERIES_MAX_U:
         return _marcum_q_ncx2(order, alpha, beta)
+
+    from scipy import special  # imported here: scipy loads slowly
 
     # Upper-gamma start Q(order, x), then the recurrence
     # Q(s+1, x) = Q(s, x) + x^s e^{-x} / Gamma(s+1).  While the step is

@@ -5,11 +5,16 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jamsense
 from jamsense.cli import (
     _POLICY_CURVES,
     ConfigError,
@@ -133,6 +138,8 @@ class TestParseConfig:
             ),
             ({"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0, 0]]}}, "node 1"),
             ({"n_fb": 40000}, "n_fb"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 2**64}, "seed"),
             ({"n_wn": 40000}, "n_wn"),
             ({"qlearning": {"epsilon": 1.5}}, "config.json.qlearning"),
         ],
@@ -382,6 +389,25 @@ class TestExportGrid:
         assert np.all(grid.values == 1.0)
 
 
+def test_seed_range_is_inclusive():
+    assert config_from_dict({"seed": 0}).seed == 0
+    assert config_from_dict({"seed": 2**64 - 1}).seed == 2**64 - 1
+
+
+def test_rayleigh_run_leaves_scipy_special_unimported():
+    # scipy.special loads only for the Marcum Q series (AWGN tables).
+    code = (
+        "import sys\n"
+        "import jamsense.cli as cli\n"
+        "from jamsense.sensing import FadingKind\n"
+        "cli.run(cli.SimConfig(fading=FadingKind.RAYLEIGH, horizon=1, replications=1))\n"
+        "assert 'scipy.special' not in sys.modules\n"
+    )
+    src = Path(jamsense.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
 class TestMain:
     def test_run_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"seed": 2, "horizon": 20, "replications": 1})
@@ -407,6 +433,11 @@ class TestMain:
             ({}, ["--epsilon-n", "nan"], "epsilon_n"),
             ({}, ["--replications", "0"], "replications"),
             ({}, ["--n-fb", "40000"], "n_fb"),
+            # Seeds are 64-bit: -1 and 2**64 - 1 would otherwise run alike.
+            ({}, ["--seed", "-1"], "seed"),
+            ({}, ["--seed", str(2**64)], "seed"),
+            ({"seed": -1}, [], "seed"),
+            ({"seed": 2**64}, [], "seed"),
             (None, ["--preset", "tsr-local", "--horizon", "0"], "horizon"),
             ({"detection": {"threshold": 1e6}}, [], "detection.threshold"),
             ({"fading": "rayleigh", "grid_snr_max_db": 120.0}, [], "grid_snr_max_db"),

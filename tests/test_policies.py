@@ -171,7 +171,8 @@ class TestQLearning:
         assert seen == set(range(8))
 
     def test_update_changes_only_the_given_row_in_place(self):
-        # The engine passes q_table[i]; learning depends on it being a view.
+        # The engine passes q_table[i]; learning depends on the update
+        # landing in that row.
         q = QParams(learning_rate=0.25, discount=0.5)
         table = np.random.default_rng(12).uniform(0, 1, (4, 6))
         before = table.copy()
@@ -192,6 +193,27 @@ class TestQLearning:
                 expected = int(expected_rng.integers(width))
                 choice = choose_action_qlearning(row, q, np.random.default_rng(seed))
                 assert choice == expected
+
+    def test_list_and_ndarray_rows_agree_bit_for_bit(self):
+        # The engine keeps plain float rows; an ndarray row must behave the same.
+        q = QParams(learning_rate=0.3, discount=0.7, epsilon=0.2)
+        greedy = QParams(learning_rate=0.3, discount=0.7, epsilon=0.0)
+        as_list, as_array = [0.0] * 6, np.zeros((2, 6))[1]
+        list_rng, array_rng = np.random.default_rng(13), np.random.default_rng(13)
+        script = np.random.default_rng(14)
+        for _ in range(500):
+            action, reward = int(script.integers(6)), float(script.integers(2))
+            update_q(q, as_list, action, reward)
+            update_q(q, as_array, action, reward)
+            assert np.array(as_list).tobytes() == as_array.tobytes()
+            choice = choose_action_qlearning(as_list, q, list_rng)
+            assert choice == choose_action_qlearning(as_array, q, array_rng)
+            assert choose_action_qlearning(as_list, greedy, list_rng) == int(
+                np.argmax(as_array)
+            )
+            assert choose_action_qlearning(as_array, greedy, array_rng) == int(
+                np.argmax(as_array)
+            )
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
