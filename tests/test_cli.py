@@ -138,10 +138,10 @@ class TestParseConfig:
             ),
             ({"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0, 0]]}}, "node 1"),
             ({"n_fb": 40000}, "n_fb"),
-            ({"seed": -1}, "seed"),
-            ({"seed": 2**64}, "seed"),
             ({"n_wn": 40000}, "n_wn"),
             ({"qlearning": {"epsilon": 1.5}}, "config.json.qlearning"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 2**64}, "seed"),
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, data, field):
@@ -433,11 +433,6 @@ class TestMain:
             ({}, ["--epsilon-n", "nan"], "epsilon_n"),
             ({}, ["--replications", "0"], "replications"),
             ({}, ["--n-fb", "40000"], "n_fb"),
-            # Seeds are 64-bit: -1 and 2**64 - 1 would otherwise run alike.
-            ({}, ["--seed", "-1"], "seed"),
-            ({}, ["--seed", str(2**64)], "seed"),
-            ({"seed": -1}, [], "seed"),
-            ({"seed": 2**64}, [], "seed"),
             (None, ["--preset", "tsr-local", "--horizon", "0"], "horizon"),
             ({"detection": {"threshold": 1e6}}, [], "detection.threshold"),
             ({"fading": "rayleigh", "grid_snr_max_db": 120.0}, [], "grid_snr_max_db"),
@@ -459,6 +454,11 @@ class TestMain:
             ({}, ["--workers", "-4"], "--workers"),
             (config_directory, [], "config.json"),
             (config_not_utf8, [], "config.json"),
+            # Seeds are 64-bit: -1 and 2**64 - 1 would otherwise run alike.
+            ({}, ["--seed", "-1"], "seed"),
+            ({}, ["--seed", str(2**64)], "seed"),
+            ({"seed": -1}, [], "seed"),
+            ({"seed": 2**64}, [], "seed"),
         ],
     )
     def test_invalid_input_exit_two_names_field(
