@@ -15,9 +15,14 @@ channel-steps, the fraction on which at least one node raw-observed the
 jammer; the transmission success rate (TSR) counts successful over
 attempted transmissions, with skipped node-steps excluded.
 
-A run is strictly sequential and fully determined by its seed; batches
-of replications may execute in parallel since every replication owns its
-entire world state.
+A run is fully determined by its seed; batches of replications may
+execute in parallel since every replication owns its entire world state.
+Only sensing and channel selection feed the next step, so a run is
+evaluated in three parts: the jammer truth for the whole run, chain by
+chain; a closed loop over steps that senses and picks the next actions;
+then open-loop passes over chunks of steps that fuse, pick the transmit
+channels and score the transmissions.  Every substream is drawn in the
+same order as in a step-by-step evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from . import rng as rngmod
 from .fusion import Belief, candidate_channels, fuse_observations
 from .jammers import init_chains, step as step_chain
 from .network import (
+    NeighborGraph,
     Placement,
     build_neighbor_graph,
     default_placement,
@@ -71,6 +77,9 @@ _SEED_MAX = (1 << 64) - 1
 # Bounds the memory and set-up time of the AWGN detection table (the
 # reference table has 16 x 6 entries).
 _GRID_MAX_ENTRIES = 10_000
+# Fused entries (steps x fuse-index length) per chunk of the open-loop
+# passes; bounds their temporaries and changes no result.
+_CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -279,33 +288,55 @@ class _World:
         ])
 
 
-def _run_world(world: _World) -> RunRecord:
+def _super_rows(
+    decisions: np.ndarray, fuse_index: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Each node's elementwise max of decision rows over its fuse-index segment.
+
+    `decisions` holds (steps, nodes, channels).  Beliefs are 0 < 1 < 2, so
+    the max is known + occupied, with "known" (not UNKNOWN) and "occupied"
+    each ORed over the segment: one `bitwise_or.reduceat` over both masks
+    packed into ceil(channels / 64) 64-bit words each.
+    """
+    steps, n, n_fb = decisions.shape
+    masks = np.stack(
+        [decisions != Belief.UNKNOWN, decisions == Belief.OCCUPIED], axis=2
+    )
+    packed = np.zeros((steps, n, 2, -(-n_fb // 64) * 8), dtype=np.uint8)
+    packed[..., : -(-n_fb // 8)] = np.packbits(masks, axis=-1, bitorder="little")
+    words = packed.view(np.uint64)
+    fused = np.bitwise_or.reduceat(words[:, fuse_index], starts, axis=1)
+    known, occupied = np.unpackbits(
+        fused.view(np.uint8), axis=-1, count=n_fb, bitorder="little"
+    ).transpose(2, 0, 1, 3)
+    return known + occupied
+
+
+def _segments(graph: NeighborGraph) -> List[Tuple[int, int]]:
+    """(lo, hi) per node: node i's segment fuse_index[lo:hi] is node i, then
+    its neighbours."""
+    bounds = graph.fuse_starts.tolist() + [len(graph.fuse_index)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _sense_and_act(world: _World, truth_log: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The closed loop over steps: sensing, then the policy.
+
+    A step's verdicts, the neighbours' channels and the policy stream are
+    all the next step's actions depend on.  Returns the action, observation
+    and cohort logs.
+    """
     config = world.config
     n, n_fb, horizon = config.n_wn, config.n_fb, config.horizon
-    chain_params = tuple(
-        (c.stay_idle, c.stay_active, c.active) for c in world.chains
-    )
-
-    truth_log = np.zeros((horizon, n_fb), dtype=bool)
-    action_log = np.zeros((horizon, n), dtype=np.int16)
-    obs_log = np.zeros((horizon, n), dtype=np.int8)
-    cohort_log = np.zeros((horizon, n), dtype=np.int16)
-    decision_log = np.zeros((horizon, n, n_fb), dtype=np.int8)
-    super_log = (
-        np.zeros((horizon, n, n_fb), dtype=np.int8)
-        if config.use_super_decision
-        else None
-    )
-    # Written whole, one row per step.
-    transmit_log = np.empty((horizon, n), dtype=np.int16)
-    outcome_log = np.empty((horizon, n), dtype=np.int8)
+    action_log = np.empty((horizon, n), dtype=np.int16)
+    obs_log = np.empty((horizon, n), dtype=np.int8)
+    cohort_log = np.empty((horizon, n), dtype=np.int16)
 
     policy_rng = world.policy_rng
-    transmit_rng = world.transmit_rng
     # Initial actions: one uniform channel per node, the values of
     # Generator.integers(0, n_fb, size=n).
     actions = [policy_rng.integers(n_fb) for _ in range(n)]
-    policy, q = config.policy, config.qlearning
+    policy, q, epsilon_n = config.policy, config.qlearning, config.epsilon_n
     # Action values per (node, channel) as plain float rows, used by
     # q-learning only.
     q_table = (
@@ -313,29 +344,24 @@ def _run_world(world: _World) -> RunRecord:
     )
     graph = world.graph
     fuse_index, starts, owner = graph.fuse_index, graph.fuse_starts, graph.fuse_owner
-    # Node i's segment fuse_index[lo:hi], (lo, hi) = segments[i], is node
-    # i, then its neighbours.
-    bounds = starts.tolist() + [len(fuse_index)]
-    segments = list(zip(bounds, bounds[1:]))
+    segments = _segments(graph)
     nodes = np.arange(n)
     awgn = config.fading is FadingKind.AWGN
     occupied, vacant = int(Belief.OCCUPIED), int(Belief.VACANT)
-    chains = world.chains
+    # Tables indexed by cohort size m = 0 .. n (m = 0 never occurs): p_fa at
+    # min(m, orders) - 1, and the p_d column min(m, columns) - 1.
+    sizes = np.arange(n + 1)
+    p_fa = world.p_fa[np.clip(sizes, 1, len(world.p_fa)) - 1]
+    p_d_column = np.clip(sizes, 1, world.p_d.shape[1]) - 1
 
     for t in range(horizon):
-        # Jammer transitions happen once per step, before sensing; the
-        # initial states are the step-0 truth.
-        if t > 0:
-            for chain in chains:
-                step_chain(chain)
-        truth = [chain.active for chain in chains]
-
         # Sensing sub-slot.  In shared-draw mode one uniform per channel
         # decides every co-sensing node's verdict (comonotone coupling:
         # cohort mates with equal probabilities get one shared verdict);
         # otherwise each node draws independently.
         draws = world.sensing_rng.random(n_fb if config.shared_draw else n)
         acts = np.array(actions)
+        fused = acts[fuse_index]
         # Cohort: the nodes whose simultaneous sensing of a node's channel
         # sets its diversity order m.  Locally that is the node and its
         # co-sensing neighbours (segment order: the node first); globally,
@@ -343,13 +369,12 @@ def _run_world(world: _World) -> RunRecord:
         if config.global_cohort:
             cohorts = np.bincount(acts, minlength=n_fb)[acts]
         else:
-            same = acts[fuse_index] == acts[owner]
+            same = fused == acts[owner]
             cohorts = np.add.reduceat(same, starts)
-        jammed = np.array(truth)[acts]
-        p = world.p_fa[np.minimum(cohorts, len(world.p_fa)) - 1]
+        jammed = truth_log[t, acts]
+        p = p_fa[cohorts]
         if awgn:
-            p_d = world.p_d[nodes, np.minimum(cohorts, world.p_d.shape[1]) - 1]
-            p = np.where(jammed, p_d, p)
+            p = np.where(jammed, world.p_d[nodes, p_d_column[cohorts]], p)
         else:
             # Rayleigh: the cohort misses only if every member does.  The
             # log-miss sums add in cohort order; the combining stays scalar
@@ -366,70 +391,119 @@ def _run_world(world: _World) -> RunRecord:
                 p[i] = -math.expm1(log_miss[i])
         u = draws[acts] if config.shared_draw else draws
         verdicts = np.where(u < p, occupied, vacant)
-        observations = verdicts.tolist()
-
-        # Collaboration sub-slot: each node fuses the (channel, verdict)
-        # pairs of its fuse-index segment, its own first.
-        fused_acts = acts[fuse_index].tolist()
-        fused_obs = verdicts[fuse_index].tolist()
-        decision_log[t] = [
-            fuse_observations(fused_acts[lo:hi], fused_obs[lo:hi], n_fb)
-            for lo, hi in segments
-        ]
+        action_log[t] = acts
+        obs_log[t] = verdicts
+        cohort_log[t] = cohorts
 
         # Next actions from this step's observations and neighbor channels.
         if policy is PolicyKind.PSEUDO_RANDOM:
-            next_actions = [
+            fused_acts = fused.tolist()
+            actions = [
                 choose_action_pseudo_random(
-                    actions[i], observations[i], fused_acts[lo + 1 : hi],
-                    n_fb, policy_rng, config.epsilon_n,
+                    action, observation, fused_acts[lo + 1 : hi],
+                    n_fb, policy_rng, epsilon_n,
                 )
-                for i, (lo, hi) in enumerate(segments)
+                for action, observation, (lo, hi) in zip(
+                    actions, verdicts.tolist(), segments
+                )
             ]
         elif policy is PolicyKind.UNIFORM:
-            next_actions = [choose_action_uniform(n_fb, policy_rng) for _ in range(n)]
+            actions = [choose_action_uniform(n_fb, policy_rng) for _ in range(n)]
         else:
             # Each node's row learns from its segment (the node, then its
             # neighbours) before any node picks.
+            fused_acts = fused.tolist()
+            fused_obs = verdicts[fuse_index].tolist()
             for row, (lo, hi) in zip(q_table, segments):
                 for k in range(lo, hi):
                     reward = 1.0 if fused_obs[k] == occupied else 0.0
                     update_q(q, row, fused_acts[k], reward)
-            next_actions = [
-                choose_action_qlearning(row, q, policy_rng) for row in q_table
-            ]
+            actions = [choose_action_qlearning(row, q, policy_rng) for row in q_table]
+    return action_log, obs_log, cohort_log
+
+
+def _fuse_and_transmit(
+    world: _World, action_log: np.ndarray, obs_log: np.ndarray
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """The open-loop passes, over chunks of steps: both fusion stages, then
+    the transmit choices, whose draws stay in (step, node) order.
+
+    Returns the decision, super-decision (None when off) and transmit logs.
+    """
+    config = world.config
+    n, n_fb, horizon = config.n_wn, config.n_fb, config.horizon
+    decision_log = np.empty((horizon, n, n_fb), dtype=np.int8)
+    super_log = (
+        np.empty((horizon, n, n_fb), dtype=np.int8)
+        if config.use_super_decision
+        else None
+    )
+    transmit_log = np.empty((horizon, n), dtype=np.int16)
+    transmit_rng = world.transmit_rng
+    fuse_index, starts = world.graph.fuse_index, world.graph.fuse_starts
+    segments = _segments(world.graph)
+    span = max(1, _CHUNK_ENTRIES // len(fuse_index))
+    # A flat view of the transmit log, in (step, node) order.
+    transmits = transmit_log.reshape(-1)
+    for t0 in range(0, horizon, span):
+        t1 = min(t0 + span, horizon)
+        # Collaboration sub-slot: each node fuses the (channel, verdict)
+        # pairs of its fuse-index segment, its own first.  Beliefs are 0..2,
+        # so the rows pack into bytes, which numpy reads several times faster
+        # than it converts nested lists.
+        chunk_acts = action_log[t0:t1, fuse_index].tolist()
+        chunk_obs = obs_log[t0:t1, fuse_index].tolist()
+        decision_log[t0:t1] = np.frombuffer(
+            b"".join([
+                bytes(fuse_observations(a[lo:hi], o[lo:hi], n_fb))
+                for a, o in zip(chunk_acts, chunk_obs)
+                for lo, hi in segments
+            ]),
+            dtype=np.int8,
+        ).reshape(t1 - t0, n, n_fb)
         # One pointer per index entry each; freed before super-decision fusion.
-        del fused_acts, fused_obs
-
-        # Second-stage fusion: exchange decision vectors; each node's super
-        # vector is the elementwise max over its segment of the fuse index.
-        # The governing vectors are read once per step as Python lists.
+        del chunk_acts, chunk_obs
         if super_log is None:
-            governing = decision_log[t].tolist()
+            governing = decision_log[t0:t1]
         else:
-            super_log[t] = np.maximum.reduceat(
-                decision_log[t][fuse_index], starts, axis=0
-            )
-            governing = super_log[t].tolist()
+            # Second-stage fusion: exchange decision vectors; each node's
+            # super vector is the elementwise max over its segment of the
+            # fuse index.
+            super_log[t0:t1] = _super_rows(decision_log[t0:t1], fuse_index, starts)
+            governing = super_log[t0:t1]
+        # Transmission sub-slot, in (step, node) order; a node with no
+        # candidate skips the step and makes no transmit draw.
+        rows = governing.reshape(-1, n_fb).tolist()
+        transmits[t0 * n : t1 * n] = [
+            cands[transmit_rng.integers(len(cands))] if cands else -1
+            for cands in map(candidate_channels, rows)
+        ]
+    return decision_log, super_log, transmit_log
 
-        # Transmission sub-slot; a node with no candidate skips the step
-        # and makes no transmit draw.
-        transmits = [-1] * n
-        outcomes = [SKIPPED] * n
-        for i in range(n):
-            cands = candidate_channels(governing[i])
-            if cands:
-                channel = cands[transmit_rng.integers(len(cands))]
-                transmits[i] = channel
-                outcomes[i] = JAMMED if truth[channel] else SUCCESSFUL
-        transmit_log[t] = transmits
-        outcome_log[t] = outcomes
 
-        truth_log[t] = truth
-        action_log[t] = actions
-        obs_log[t] = observations
-        cohort_log[t] = cohorts
-        actions = next_actions
+def _run_world(world: _World) -> RunRecord:
+    config = world.config
+    horizon = config.horizon
+    chain_params = tuple(
+        (c.stay_idle, c.stay_active, c.active) for c in world.chains
+    )
+    # Jammer truth for the whole run.  Nothing the nodes do feeds back into
+    # a chain, and each chain draws from its own substream, so the chains
+    # run one after another; the initial states are the step-0 truth.
+    truth_log = np.empty((horizon, config.n_fb), dtype=bool)
+    for k, chain in enumerate(world.chains):
+        truth_log[:, k] = [chain.active] + [
+            step_chain(chain) for _ in range(horizon - 1)
+        ]
+    action_log, obs_log, cohort_log = _sense_and_act(world, truth_log)
+    decision_log, super_log, transmit_log = _fuse_and_transmit(
+        world, action_log, obs_log
+    )
+    # Skipped without a transmit; otherwise jammed exactly when the chosen
+    # channel's jammer is active.
+    hit = truth_log[np.arange(horizon)[:, None], transmit_log]
+    outcome_log = np.where(hit, np.int8(JAMMED), np.int8(SUCCESSFUL))
+    outcome_log[transmit_log < 0] = SKIPPED
 
     return RunRecord(
         config=config,

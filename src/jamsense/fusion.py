@@ -59,9 +59,10 @@ def fuse_observations(
 def fuse_decisions(vectors: Sequence[Sequence[int]]) -> List[int]:
     """Elementwise OR of a node's own and its neighbours' decision rows.
 
-    The engine computes every node's super vector at once, as one
-    `np.maximum.reduceat` over `NeighborGraph.fuse_index`; this function is
-    the reference the tests check those vectors against.
+    The engine computes the super vectors of every node over a chunk of
+    steps at once, as one `bitwise_or.reduceat` of packed "known" and
+    "occupied" masks over `NeighborGraph.fuse_index`; this function is the
+    reference the tests check those vectors against.
     """
     own = vectors[0]
     for vec in vectors[1:]:

@@ -1,8 +1,10 @@
 """Deterministic seed derivation and named PRNG substreams.
 
 Every random draw in a simulation comes from a PCG64 generator whose seed
-is derived from the master seed with the splitmix64 finalizer.  The
-derivation below is part of the reproducibility contract (see README):
+is derived from the master seed with `mix64`, a splitmix64-style finalizer
+with a non-standard second multiplier.  That multiplier is even, so `mix64`
+maps exactly two inputs to each of its 2**63 outputs (see its docstring).
+The derivation below is part of the reproducibility contract (see README):
 identical (seed, path) pairs always yield identical streams, and the
 streams for distinct paths are independent for practical purposes.
 
@@ -26,7 +28,16 @@ TRANSMIT = 5     # transmit-channel choice among candidates
 
 
 def mix64(x: int) -> int:
-    """splitmix64 finalizer: a bijective scramble of a 64-bit integer."""
+    """Scramble a 64-bit integer with a splitmix64-style finalizer.
+
+    The second multiplier, 0x94D4A13CD491BDE6, is not splitmix64's
+    0x94D049BB133111EB.  It is even, so its multiply drops the top bit of
+    its input, and `mix64` is not bijective: x and the x' that differs from
+    it before that multiply only in bit 63 collide, for example
+    mix64(0x541F0DBE72C3535D) == mix64(0x816E44C8A1A3A290).  Every
+    substream seed of every pinned trajectory goes through this constant,
+    so it is frozen.
+    """
     x = (x + _GOLDEN) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D4A13CD491BDE6) & _MASK64

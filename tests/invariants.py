@@ -3,7 +3,9 @@
 Used by the engine tests and the acceptance property suite: every check
 reconstructs the quantity independently (from actions, the neighbor
 graph, and raw observations) and compares against what the engine
-recorded.
+recorded.  The jammer truth, the policy's actions and the transmit
+channels are replayed step by step from fresh substreams through the
+spec functions.
 """
 
 from __future__ import annotations
@@ -12,7 +14,13 @@ import numpy as np
 
 from jamsense import rng as rngmod
 from jamsense.engine import JAMMED, SKIPPED, SUCCESSFUL, RunRecord
-from jamsense.fusion import Belief, fuse_decisions, fuse_observations
+from jamsense.fusion import (
+    Belief,
+    candidate_channels,
+    fuse_decisions,
+    fuse_observations,
+)
+from jamsense.jammers import init_chains, step as step_chain
 from jamsense.network import NeighborGraph, build_neighbor_graph
 from jamsense.policies import (
     PolicyKind,
@@ -107,7 +115,50 @@ def check_structural_invariants(record: RunRecord) -> int:
                 if observations[i] == occupied:
                     assert record.actions[t + 1, i] == actions[i]
                     checks += 1
-    return checks + _check_policy_replay(record, graph)
+    return (
+        checks
+        + _check_truth_replay(record)
+        + _check_policy_replay(record, graph)
+        + _check_transmit_replay(record)
+    )
+
+
+def _check_truth_replay(record: RunRecord) -> int:
+    """Replay every jammer chain from its own fresh substream; return the checks.
+
+    The chains step together, once per step after the first, as in the
+    model's time line.
+    """
+    config = record.config
+    chains = init_chains(config.n_fb, config.jammer_bounds, record.run_seed)
+    assert record.chain_params == tuple(
+        (c.stay_idle, c.stay_active, c.active) for c in chains
+    )
+    for t in range(len(record)):
+        if t > 0:
+            for chain in chains:
+                step_chain(chain)
+        assert record.truth[t].tolist() == [c.active for c in chains], t
+    return 1 + len(record)
+
+
+def _check_transmit_replay(record: RunRecord) -> int:
+    """Replay every transmit choice on a fresh transmit stream; return the checks.
+
+    In (step, node) order, a node with candidates draws one of them
+    uniformly from its governing row; a node with none skips and draws
+    nothing.
+    """
+    rng = rngmod.substream(record.run_seed, rngmod.TRANSMIT)
+    governing = record.supers if record.supers is not None else record.decisions
+    checks = 0
+    for t in range(len(record)):
+        for i, beliefs in enumerate(governing[t].tolist()):
+            cands = candidate_channels(beliefs)
+            expected = cands[rng.integers(len(cands))] if cands else -1
+            assert record.transmits[t, i] == expected, (t, i)
+            checks += 1
+    return checks
 
 
 def _check_policy_replay(record: RunRecord, graph: NeighborGraph) -> int:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from jamsense import engine
 from jamsense import rng as rngmod
 from jamsense.engine import (
     JAMMED,
@@ -23,7 +24,12 @@ from jamsense.engine import (
     tsr_curve,
 )
 from jamsense.fusion import Belief
-from jamsense.network import Placement, default_placement, snr_at_node
+from jamsense.network import (
+    Placement,
+    build_neighbor_graph,
+    default_placement,
+    snr_at_node,
+)
 from jamsense.policies import PolicyKind
 from jamsense.sensing import (
     DetectionParams,
@@ -553,3 +559,40 @@ PINNED_MODE_SHA256 = {
     "rayleigh-local": "6fd29570d6dbad253a5ed8d9f7fe341033cddb2a79278acdddcbb3d55eaecb25",
     "uniform": "38947e1c56a3c4d8a3fb3e3665413112292f5447091b10d7e43a9b3a55a4e9e4",
 }
+
+
+# The open-loop passes run in chunks of steps.  65 and 130 channels take two
+# and three 64-bit mask words in super-decision fusion.
+CHUNK_MODES = {
+    "super-on": dict(),
+    "super-off": dict(use_super_decision=False),
+    "qlearning-rayleigh": dict(policy=PolicyKind.QLEARNING, fading=FadingKind.RAYLEIGH),
+    "isolated-node": dict(placement=ISOLATED_PLACEMENT),
+    "one-channel": dict(n_fb=1),
+    "13-channels": dict(n_fb=13),
+    "65-channels": dict(n_fb=65),
+    "130-channels": dict(n_fb=130),
+}
+
+
+def assert_records_equal(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@pytest.mark.parametrize("mode", sorted(CHUNK_MODES))
+def test_records_do_not_depend_on_the_chunk_size(monkeypatch, mode):
+    config = SimConfig(horizon=300, seed=2026, replications=1, **CHUNK_MODES[mode])
+    default = run(config)
+    # The default chunk size splits the run into several chunks.
+    fused = len(build_neighbor_graph(config.resolved_placement()).fuse_index)
+    assert config.horizon * fused > 2 * engine._CHUNK_ENTRIES
+    for entries in (1, 2**40):
+        monkeypatch.setattr(engine, "_CHUNK_ENTRIES", entries)
+        assert_records_equal(run(config), default)
+    if config.n_fb > 64:
+        assert check_structural_invariants(default) > 0
