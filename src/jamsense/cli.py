@@ -500,9 +500,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         curves = _curves_for(args)
-        written = run_experiment(
-            curves, args.out, trace=args.trace, workers=args.workers
-        )
+        try:
+            written = run_experiment(
+                curves, args.out, trace=args.trace, workers=args.workers
+            )
+        except MemoryError:
+            # Every run holds its per-step logs, horizon x n_wn x n_fb entries.
+            # The curves share these three values.
+            config = curves[0][1]
+            raise ValueError(
+                f"out of memory for the per-step logs of a run with "
+                f"horizon={config.horizon}, n_wn={config.n_wn}, n_fb={config.n_fb}"
+            ) from None
         for path in written:
             print(f"wrote {path}")
         summary = Path(args.out) / "summary.txt"

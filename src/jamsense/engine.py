@@ -304,12 +304,22 @@ def _super_rows(
     )
     packed = np.zeros((steps, n, 2, -(-n_fb // 64) * 8), dtype=np.uint8)
     packed[..., : -(-n_fb // 8)] = np.packbits(masks, axis=-1, bitorder="little")
-    words = packed.view(np.uint64)
-    fused = np.bitwise_or.reduceat(words[:, fuse_index], starts, axis=1)
+    # np.take along the node axis: the fancy index words[:, fuse_index]
+    # takes a much slower path for these 4-D uint64 words.
+    words = np.take(packed.view(np.uint64), fuse_index, axis=1)
+    fused = np.bitwise_or.reduceat(words, starts, axis=1)
     known, occupied = np.unpackbits(
         fused.view(np.uint8), axis=-1, count=n_fb, bitorder="little"
     ).transpose(2, 0, 1, 3)
     return known + occupied
+
+
+def _step_rows(log: np.ndarray, fuse_index: np.ndarray) -> List[memoryview]:
+    """One flat memoryview per step of a (steps, nodes) log gathered by
+    `fuse_index`; slices of it are the per-node segments, without copies."""
+    width = len(fuse_index)
+    flat = memoryview(np.take(log, fuse_index, axis=1).reshape(-1))
+    return [flat[k : k + width] for k in range(0, len(flat), width)]
 
 
 def _segments(graph: NeighborGraph) -> List[Tuple[int, int]]:
@@ -448,21 +458,23 @@ def _fuse_and_transmit(
     for t0 in range(0, horizon, span):
         t1 = min(t0 + span, horizon)
         # Collaboration sub-slot: each node fuses the (channel, verdict)
-        # pairs of its fuse-index segment, its own first.  Beliefs are 0..2,
-        # so the rows pack into bytes, which numpy reads several times faster
-        # than it converts nested lists.
-        chunk_acts = action_log[t0:t1, fuse_index].tolist()
-        chunk_obs = obs_log[t0:t1, fuse_index].tolist()
+        # pairs of its fuse-index segment, its own first, read as zero-copy
+        # memoryview slices of the gathered chunk.  Beliefs are 0..2, so the
+        # rows pack into bytes, which numpy reads several times faster than
+        # it converts nested lists.
+        acts = _step_rows(action_log[t0:t1], fuse_index)
+        obs = _step_rows(obs_log[t0:t1], fuse_index)
         decision_log[t0:t1] = np.frombuffer(
             b"".join([
                 bytes(fuse_observations(a[lo:hi], o[lo:hi], n_fb))
-                for a, o in zip(chunk_acts, chunk_obs)
+                for a, o in zip(acts, obs)
                 for lo, hi in segments
             ]),
             dtype=np.int8,
         ).reshape(t1 - t0, n, n_fb)
-        # One pointer per index entry each; freed before super-decision fusion.
-        del chunk_acts, chunk_obs
+        # The gathered chunk is freed before super-decision fusion, whose
+        # gather is the largest temporary.
+        del acts, obs
         if super_log is None:
             governing = decision_log[t0:t1]
         else:

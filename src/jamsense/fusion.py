@@ -10,8 +10,9 @@ A node first fuses its own (channel, verdict) pair with the pairs it
 received from neighbours into a decision vector, then fuses its decision
 vector with its neighbours' decision vectors into a super-decision
 vector, which extends its information reach from one hop to two.  Both
-functions take and return plain rows of ints, the node's own first; the
-engine passes each node its segment of `NeighborGraph.fuse_index`.
+functions take sequences of ints, the node's own first: lists, or
+memoryview slices of integer arrays, as the engine passes each node its
+segment of `NeighborGraph.fuse_index`.  They return lists of ints.
 """
 
 from __future__ import annotations

@@ -49,7 +49,8 @@ def choose_action_pseudo_random(
     """Sticky/exploit/explore selection.
 
     `observation` is the Belief verdict of the channel just sensed, and
-    `neighbor_channels` the channels the neighbours sense, in listed order.
+    `neighbor_channels` the channels the neighbours sense, in listed order:
+    a list of ints or a memoryview slice of an integer array.
 
     1. After observing a jammer, sense the same channel again.
     2. Otherwise draw u ~ U(0,1); if u <= epsilon_n and there are

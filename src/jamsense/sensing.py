@@ -360,13 +360,16 @@ class ProbabilityGrid:
         if np.any(np.diff(values, axis=1) < -1e-12):
             raise ValueError("grid entries must be non-decreasing in diversity")
         values.setflags(write=False)
+        # The SNR axis as an array, built once for every lookup.
+        axis = np.array(self.snr_db)
+        axis.setflags(write=False)
+        object.__setattr__(self, "_axis", axis)
 
     def lookup(self, snr_db: float, m: int) -> float:
         """Nearest-SNR, clamped lookup; exact at grid points."""
         if m < 1:
             raise ValueError(f"diversity order must be >= 1, got {m}")
-        axis = np.asarray(self.snr_db)
-        row = int(np.argmin(np.abs(axis - snr_db)))
+        row = int(np.argmin(np.abs(self._axis - snr_db)))
         col = min(max(m, self.diversity[0]), self.diversity[-1]) - self.diversity[0]
         return float(self.values[row, col])
 

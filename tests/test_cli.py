@@ -416,6 +416,27 @@ class TestMain:
         out = capsys.readouterr().out
         assert "jdr_final_mean" in out
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # Stands in for the logs of a 10**11-step run failing to allocate,
+        # whose real outcome depends on the host's overcommit setting.
+        import jamsense.cli as cli
+
+        def out_of_memory(config, workers=1):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_batch", out_of_memory)
+        out_dir = tmp_path / "out"
+        argv = ["run", "--horizon", "100000000000", "--replications", "1",
+                "--out", str(out_dir)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: out of memory")
+        for value in ("horizon=100000000000", "n_wn=10", "n_fb=10"):
+            assert value in captured.err
+        assert not list(out_dir.glob("*"))
+
     def test_config_error_exit_two_and_no_outputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"seed": 1, "epsilon_n": 7})
         out_dir = tmp_path / "out"

@@ -504,6 +504,23 @@ PINNED_RECORD_SHA256 = (
     "da3861139280a92d05562be7c4e4b9c29a0765ddd229875406097a1de977f1d8"
 )
 
+
+def test_many_neighbour_record_pinned_hash():
+    # 240 nodes on the default rings, each fusing up to 96 neighbours: the
+    # fuse index outgrows a chunk, so each chunk of the open-loop passes is
+    # one step.
+    config = SimConfig(n_wn=240, horizon=12, seed=2026, replications=1)
+    fused = len(build_neighbor_graph(config.resolved_placement()).fuse_index)
+    assert fused == 18_960 > engine._CHUNK_ENTRIES
+    record = run(config)
+    assert check_structural_invariants(record) > 0
+    assert record_sha256(record) == PINNED_MANY_NEIGHBOUR_SHA256
+
+
+PINNED_MANY_NEIGHBOUR_SHA256 = (
+    "31f1393041144f9038e9d1db2445f9584885909afe1db3093de796b23524034c"
+)
+
 # Nine ring nodes plus one 0.6 km beyond the outer ring: node 9 has no
 # neighbours, so its cohort, decision and super-decision involve it alone.
 ISOLATED_PLACEMENT = Placement(

@@ -13,6 +13,20 @@ from jamsense.fusion import (
 
 N_CH = 6
 V, O = int(Belief.VACANT), int(Belief.OCCUPIED)
+# The engine's int16 channel and int8 verdict logs, and numpy's default int64.
+SEGMENT_DTYPES = (np.int16, np.int8, np.int64)
+
+
+def segment(values, dtype, pad):
+    """`values` as a memoryview slice from inside a larger array of `dtype`."""
+    array = np.array([V] * pad + list(values) + [V] * pad, dtype=dtype)
+    return memoryview(array)[pad : pad + len(values)]
+
+
+def raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 class TestFuseObservations:
@@ -57,6 +71,49 @@ class TestFuseObservations:
         assert fuse_observations(*zip(*shuffled), N_CH) == beliefs
         singles = [fuse_observations([c], [v], N_CH) for c, v in pairs]
         assert fuse_decisions(singles) == beliefs
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, N_CH - 1), st.sampled_from([V, O])),
+            max_size=12,
+        ),
+        st.sampled_from(SEGMENT_DTYPES),
+        st.sampled_from(SEGMENT_DTYPES),
+        st.integers(0, 3),
+    )
+    def test_memoryview_segments_equal_lists(self, pairs, a_dtype, o_dtype, pad):
+        channels = [c for c, _ in pairs]
+        verdicts = [v for _, v in pairs]
+        beliefs = fuse_observations(
+            segment(channels, a_dtype, pad), segment(verdicts, o_dtype, pad), N_CH
+        )
+        assert beliefs == fuse_observations(channels, verdicts, N_CH)
+        assert all(type(b) is int for b in beliefs)
+
+    @pytest.mark.parametrize("a_dtype", SEGMENT_DTYPES)
+    @pytest.mark.parametrize("o_dtype", SEGMENT_DTYPES)
+    @pytest.mark.parametrize(
+        "channels, verdicts",
+        [
+            ([1, 2], [V, int(Belief.UNKNOWN)]),  # bad verdict
+            ([3], [O + 1]),  # bad verdict
+            ([1, N_CH], [V, O]),  # channel out of range
+            ([-1], [V]),  # channel out of range
+            ([1, 2], [V]),  # length mismatch
+            ([], [O]),  # length mismatch
+        ],
+    )
+    def test_memoryview_segments_raise_as_lists(
+        self, a_dtype, o_dtype, channels, verdicts
+    ):
+        expected = raised(fuse_observations, channels, verdicts, N_CH)
+        assert raised(
+            fuse_observations,
+            segment(channels, a_dtype, 2),
+            segment(verdicts, o_dtype, 2),
+            N_CH,
+        ) == expected
 
 
 class TestFuseDecisions:

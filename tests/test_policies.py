@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from jamsense.fusion import Belief
@@ -105,6 +106,39 @@ class TestPseudoRandom:
 
         assert trace(99) == trace(99)
         assert trace(99) != trace(100)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(0, n - 1),
+                st.lists(st.integers(0, n - 1), max_size=8),
+            )
+        ),
+        st.sampled_from([int(Belief.VACANT), int(Belief.OCCUPIED)]),
+        st.sampled_from([np.int16, np.int8, np.int64]),
+        st.integers(0, 3),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_memoryview_neighbours_equal_lists(
+        self, band, observation, dtype, pad, epsilon_n, seed
+    ):
+        # Neighbour channels may come as a memoryview slice of an integer
+        # array; the choice and the draws must equal those for a list.
+        n, own, neighbours = band
+        padded = np.array([own] * pad + neighbours + [own] * pad, dtype=dtype)
+        view = memoryview(padded)[pad : pad + len(neighbours)]
+        by_list, by_view = np.random.default_rng(seed), np.random.default_rng(seed)
+        choice = choose_action_pseudo_random(
+            own, observation, neighbours, n, by_list, epsilon_n
+        )
+        view_choice = choose_action_pseudo_random(
+            own, observation, view, n, by_view, epsilon_n
+        )
+        assert view_choice == choice and type(view_choice) is int
+        assert by_view.random() == by_list.random()
 
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(ValueError):
