@@ -23,11 +23,12 @@ import math
 import sys
 import typing
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -326,6 +327,22 @@ def _make_out_dir(out_dir) -> Path:
     return out_dir
 
 
+@contextmanager
+def _removed_on_failure() -> Iterator[List[Path]]:
+    """A list to record each output path in before writing it; if the block
+    fails, even partway through a file, every recorded file is removed."""
+    written: List[Path] = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        raise
+
+
 def export_grid(config: SimConfig, out_dir) -> List[Path]:
     """Write the AWGN table and the Rayleigh m=1 column as CSV files."""
     _check_exportable(config)
@@ -333,10 +350,12 @@ def export_grid(config: SimConfig, out_dir) -> List[Path]:
     snr_range = (config.grid_snr_min_db, config.grid_snr_max_db, config.grid_snr_step_db)
     awgn = build_awgn_grid(config.detection, *snr_range, config.grid_m_max)
     rayleigh = build_rayleigh_grid(config.detection, *snr_range)
-    paths = [out_dir / "grid_awgn.csv", out_dir / "grid_rayleigh.csv"]
-    awgn.to_csv(paths[0])
-    rayleigh.to_csv(paths[1])
-    return paths
+    with _removed_on_failure() as written:
+        for name, grid in (("grid_awgn.csv", awgn), ("grid_rayleigh.csv", rayleigh)):
+            path = out_dir / name
+            written.append(path)
+            grid.to_csv(path)
+    return written
 
 
 def _geometry_lines(prefix: str, batch: BatchResult) -> List[str]:
@@ -385,39 +404,32 @@ def run_experiment(
     """Run every (label, config) curve and write all artifacts.
 
     Both tables and the output directory are checked before any run; on
-    failure partway through, files written so far are removed.
+    failure partway through, files written so far, and the one being
+    written, are removed.
     """
     _check_exportable(curves[0][1])
     out_dir = _make_out_dir(out_dir)
-    written: List[Path] = []
     results: List[Tuple[str, SimConfig, BatchResult]] = []
-    try:
+    with _removed_on_failure() as written:
         for label, config in curves:
             batch = run_batch(config, workers=workers)
             results.append((label, config, batch))
             suffix = f"_{label}" if label else ""
-            metrics_path = out_dir / f"metrics{suffix}.csv"
-            _write_metrics_csv(metrics_path, batch)
-            written.append(metrics_path)
-            echo_path = out_dir / f"config_echo{suffix}.json"
+            path = out_dir / f"metrics{suffix}.csv"
+            written.append(path)
+            _write_metrics_csv(path, batch)
+            path = out_dir / f"config_echo{suffix}.json"
+            written.append(path)
             echo = json.dumps(config_to_dict(config), indent=2, sort_keys=True)
-            echo_path.write_text(echo + "\n")
-            written.append(echo_path)
+            path.write_text(echo + "\n")
             if trace:
-                trace_path = out_dir / f"trace{suffix}.csv"
-                _write_trace_csv(trace_path, config)
-                written.append(trace_path)
-        summary_path = out_dir / "summary.txt"
-        summary_path.write_text("\n".join(_summary_lines(results)) + "\n")
-        written.append(summary_path)
+                path = out_dir / f"trace{suffix}.csv"
+                written.append(path)
+                _write_trace_csv(path, config)
+        path = out_dir / "summary.txt"
+        written.append(path)
+        path.write_text("\n".join(_summary_lines(results)) + "\n")
         written.extend(export_grid(curves[0][1], out_dir))
-    except BaseException:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
     return written
 
 
@@ -520,7 +532,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

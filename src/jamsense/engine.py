@@ -450,7 +450,9 @@ def _fuse_and_transmit(
     )
     transmit_log = np.empty((horizon, n), dtype=np.int16)
     transmit_rng = world.transmit_rng
-    fuse_index, starts = world.graph.fuse_index, world.graph.fuse_starts
+    # np.take copies a read-only index on every call; the graph's is
+    # read-only, so the run gathers through one writeable copy of it.
+    fuse_index, starts = world.graph.fuse_index.copy(), world.graph.fuse_starts
     segments = _segments(world.graph)
     span = max(1, _CHUNK_ENTRIES // len(fuse_index))
     # A flat view of the transmit log, in (step, node) order.

@@ -47,13 +47,20 @@ def fuse_observations(
     if len(channels) != len(verdicts):
         raise ValueError(f"{len(channels)} channels but {len(verdicts)} verdicts")
     beliefs = [_UNKNOWN] * n_channels
+    # One verdict test per pair: VACANT only fills an UNKNOWN channel,
+    # OCCUPIED always wins.  A bad verdict is reported before a bad channel.
     for channel, verdict in zip(channels, verdicts):
-        if verdict != _VACANT and verdict != _OCCUPIED:
+        if verdict == _VACANT:
+            if not 0 <= channel < n_channels:
+                raise ValueError(f"channel {channel} out of range")
+            if not beliefs[channel]:
+                beliefs[channel] = _VACANT
+        elif verdict == _OCCUPIED:
+            if not 0 <= channel < n_channels:
+                raise ValueError(f"channel {channel} out of range")
+            beliefs[channel] = _OCCUPIED
+        else:
             raise ValueError(f"verdict must be VACANT or OCCUPIED, got {verdict}")
-        if not 0 <= channel < n_channels:
-            raise ValueError(f"channel {channel} out of range")
-        if verdict > beliefs[channel]:
-            beliefs[channel] = int(verdict)
     return beliefs
 
 

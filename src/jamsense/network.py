@@ -150,10 +150,9 @@ class NeighborGraph:
         return len(self.neighbors[node])
 
     def edges(self) -> Tuple[Tuple[int, int], ...]:
-        out = []
-        for i, nbrs in enumerate(self.neighbors):
-            out.extend((i, j) for j in nbrs if i < j)
-        return tuple(out)
+        return tuple([
+            (i, j) for i, nbrs in enumerate(self.neighbors) for j in nbrs if i < j
+        ])
 
 
 def _check_edges(rows: np.ndarray, cols: np.ndarray, n: int) -> None:

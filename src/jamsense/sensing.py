@@ -360,18 +360,20 @@ class ProbabilityGrid:
         if np.any(np.diff(values, axis=1) < -1e-12):
             raise ValueError("grid entries must be non-decreasing in diversity")
         values.setflags(write=False)
-        # The SNR axis as an array, built once for every lookup.
+        # Built once for every lookup: the SNR axis as an array, and the
+        # entries as rows of Python floats.
         axis = np.array(self.snr_db)
         axis.setflags(write=False)
         object.__setattr__(self, "_axis", axis)
+        object.__setattr__(self, "_rows", tuple(map(tuple, values.tolist())))
 
     def lookup(self, snr_db: float, m: int) -> float:
         """Nearest-SNR, clamped lookup; exact at grid points."""
         if m < 1:
             raise ValueError(f"diversity order must be >= 1, got {m}")
-        row = int(np.argmin(np.abs(self._axis - snr_db)))
+        row = np.abs(self._axis - snr_db).argmin()
         col = min(max(m, self.diversity[0]), self.diversity[-1]) - self.diversity[0]
-        return float(self.values[row, col])
+        return self._rows[row][col]
 
     def to_csv(self, path) -> None:
         """Header row of SNR dB values, one row per diversity order."""

@@ -5,6 +5,11 @@ integrates the noncentral chi-square density (Bessel form) with adaptive
 quadrature, the Rayleigh oracle averages conditional detection over
 Monte-Carlo SNR draws through scipy's distribution, and the literal
 closed-form evaluator follows the two-finite-sum arrangement directly.
+
+The reference bodies at the end are the plain per-entry forms of
+`fuse_observations`, `ProbabilityGrid.lookup` and `NeighborGraph.edges`,
+which the faster library bodies must match value for value and error for
+error.
 """
 
 from __future__ import annotations
@@ -93,3 +98,36 @@ def rayleigh_single_monte_carlo(
     mean = float(conditional.mean())
     se = float(conditional.std(ddof=1) / math.sqrt(draws))
     return mean, se
+
+
+def fuse_observations_loop(channels, verdicts, n_channels: int) -> list:
+    """OR fusion as one max per pair: verdict checked, then channel."""
+    if len(channels) != len(verdicts):
+        raise ValueError(f"{len(channels)} channels but {len(verdicts)} verdicts")
+    beliefs = [0] * n_channels
+    for channel, verdict in zip(channels, verdicts):
+        if verdict != 1 and verdict != 2:
+            raise ValueError(f"verdict must be VACANT or OCCUPIED, got {verdict}")
+        if not 0 <= channel < n_channels:
+            raise ValueError(f"channel {channel} out of range")
+        if verdict > beliefs[channel]:
+            beliefs[channel] = int(verdict)
+    return beliefs
+
+
+def grid_lookup_argmin(snr_db, diversity, values, query_db: float, m: int) -> float:
+    """Nearest axis point by `np.argmin` (first of equal distances), both
+    axes clamped."""
+    if m < 1:
+        raise ValueError(f"diversity order must be >= 1, got {m}")
+    row = int(np.argmin(np.abs(np.asarray(snr_db, dtype=float) - query_db)))
+    col = min(max(m, diversity[0]), diversity[-1]) - diversity[0]
+    return float(np.asarray(values, dtype=float)[row, col])
+
+
+def edges_loop(neighbors) -> tuple:
+    """Each (i, j) with i < j once, in node order, then listed order."""
+    out = []
+    for i, nbrs in enumerate(neighbors):
+        out.extend((i, j) for j in nbrs if i < j)
+    return tuple(out)

@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -29,7 +30,7 @@ from jamsense.cli import (
 from jamsense.engine import JAMMED, SKIPPED, SUCCESSFUL, SimConfig, run, run_batch
 from jamsense.fusion import Belief
 from jamsense.policies import PolicyKind, QParams
-from jamsense.sensing import FadingKind
+from jamsense.sensing import FadingKind, ProbabilityGrid
 
 # Pinned after validating grid entries against the quadrature oracle
 # (see test_sensing); guards the CSV export byte layout as well.
@@ -288,6 +289,21 @@ class TestRunExperiment:
             run_experiment([("", config)], tmp_path / "fail")
         assert not list((tmp_path / "fail").glob("*"))
 
+    def test_interrupted_write_removes_the_file_it_was_writing(
+        self, tmp_path, monkeypatch
+    ):
+        import jamsense.cli as cli
+
+        def interrupted(path, config):
+            Path(path).write_text("t,node,action\n0,0,")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_write_trace_csv", interrupted)
+        config = SimConfig(seed=5, horizon=10, replications=1)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment([("pseudo_random", config)], tmp_path / "out", trace=True)
+        assert not list((tmp_path / "out").glob("*"))
+
 
 # Trace modes: super-decision on and off, one and thirteen channels (the
 # one-channel run skips 170 of its 300 node-steps), q-learning, and global
@@ -435,6 +451,31 @@ class TestMain:
         assert captured.err.startswith("error: out of memory")
         for value in ("horizon=100000000000", "n_wn=10", "n_fb=10"):
             assert value in captured.err
+        assert not list(out_dir.glob("*"))
+
+    @pytest.mark.parametrize(
+        "command", [["run", "--horizon", "5", "--replications", "1"], ["export-grid"]]
+    )
+    def test_full_disk_is_one_error_line_and_no_outputs(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # The Rayleigh table's write fails after the AWGN table is written.
+        write = ProbabilityGrid.to_csv
+
+        def disk_full(grid, path):
+            if Path(path).name != "grid_rayleigh.csv":
+                return write(grid, path)
+            Path(path).write_text("m,0")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(ProbabilityGrid, "to_csv", disk_full)
+        out_dir = tmp_path / "out"
+        assert main(command + ["--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert os.strerror(errno.ENOSPC) in captured.err
         assert not list(out_dir.glob("*"))
 
     def test_config_error_exit_two_and_no_outputs(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from jamsense.fusion import (
     fuse_decisions,
     fuse_observations,
 )
+from oracles import fuse_observations_loop
 
 N_CH = 6
 V, O = int(Belief.VACANT), int(Belief.OCCUPIED)
@@ -27,6 +28,54 @@ def raised(fn, *args):
     with pytest.raises(ValueError) as info:
         fn(*args)
     return str(info.value)
+
+
+def outcome(fn, *args):
+    """("ok", result) or ("error", the ValueError text)."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# How a differential case passes its channels or verdicts: lists, Belief
+# members (verdicts 0..2 only), numpy scalars, or memoryview slices.
+CONTAINERS = ("list", "belief", "numpy") + SEGMENT_DTYPES
+
+
+def contain(values, kind):
+    if kind == "list":
+        return list(values)
+    if kind == "belief":
+        return [Belief(v) if v in (0, 1, 2) else v for v in values]
+    if kind == "numpy":
+        return list(np.array(values))
+    return segment(values, kind, 2)
+
+
+@st.composite
+def fusion_cases(draw):
+    """(channels, verdicts, n_channels), at most one bad channel and one bad
+    verdict (0, 3, -1, 1.5) injected, often in the same pair, and sometimes
+    unequal lengths."""
+    n_channels = draw(st.integers(1, 8))
+    size = draw(st.integers(0, 12))
+    channels = draw(st.lists(st.integers(0, n_channels - 1), min_size=size, max_size=size))
+    verdicts = draw(st.lists(st.sampled_from([V, O]), min_size=size, max_size=size))
+    if size:
+        where = st.none() | st.integers(0, size - 1)
+        bad_channel_at = draw(where)
+        bad_verdict_at = draw(st.just(bad_channel_at) | where)
+        if bad_channel_at is not None:
+            channels[bad_channel_at] = draw(st.sampled_from([-1, n_channels, n_channels + 3]))
+        if bad_verdict_at is not None:
+            verdicts[bad_verdict_at] = draw(st.sampled_from([0, 3, -1, 1.5]))
+    extra = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    if extra > 0:
+        verdicts.append(V)
+    elif extra < 0 and verdicts:
+        verdicts.pop()
+    return channels, verdicts, n_channels
 
 
 class TestFuseObservations:
@@ -114,6 +163,22 @@ class TestFuseObservations:
             segment(verdicts, o_dtype, 2),
             N_CH,
         ) == expected
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        fusion_cases(),
+        st.sampled_from([c for c in CONTAINERS if c != "belief"]),
+        st.sampled_from(CONTAINERS),
+    )
+    def test_matches_reference_loop(self, case, channel_kind, verdict_kind):
+        channels, verdicts, n_channels = case
+        if 1.5 in verdicts and verdict_kind in SEGMENT_DTYPES:
+            verdict_kind = "numpy"
+        args = (contain(channels, channel_kind), contain(verdicts, verdict_kind), n_channels)
+        result = outcome(fuse_observations, *args)
+        assert result == outcome(fuse_observations_loop, *args)
+        if result[0] == "ok":
+            assert all(type(b) is int for b in result[1])
 
 
 class TestFuseDecisions:

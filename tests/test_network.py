@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jamsense.network import (
     NeighborGraph,
@@ -14,6 +15,8 @@ from jamsense.network import (
     received_power_db,
     snr_at_node,
 )
+
+from oracles import edges_loop
 
 
 class TestReceivedPower:
@@ -107,6 +110,20 @@ class TestNeighborGraph:
                 assert i not in graph.neighbors[i]
                 for j in graph.neighbors[i]:
                     assert i in graph.neighbors[j]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_edges_match_reference_loop(self, n, seed):
+        # Random symmetric graphs with neighbour tuples in shuffled order;
+        # node 0 is always isolated, and sparse draws isolate more.
+        rng = np.random.default_rng(seed)
+        adjacency = np.triu(rng.random((n, n)) < rng.uniform(0, 0.6), k=1)
+        adjacency[0] = False
+        adjacency |= adjacency.T
+        neighbors = tuple(
+            tuple(rng.permutation(np.flatnonzero(row)).tolist()) for row in adjacency
+        )
+        assert NeighborGraph(neighbors=neighbors).edges() == edges_loop(neighbors)
 
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(ValueError):

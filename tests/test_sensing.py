@@ -6,6 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from jamsense.sensing import (
@@ -23,6 +24,7 @@ from jamsense.sensing import (
 )
 
 from oracles import (
+    grid_lookup_argmin,
     marcum_q_quadrature,
     rayleigh_single_literal,
     rayleigh_single_monte_carlo,
@@ -35,6 +37,14 @@ MARCUM_5_2_SQRT121 = 0.575933757933750
 PD_AWGN_10DB_M1 = 0.983958663877039
 # Frozen from the literal two-sum closed form (rayleigh_single_literal).
 PD_RAY_GBAR10 = 0.821132030317377
+
+
+def raised_or(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestMarcumQ:
@@ -321,6 +331,42 @@ class TestProbabilityGrid:
         assert grid.lookup(-11.0, 2) == grid.lookup(0.0, 2)
         assert grid.lookup(99.0, 2) == grid.lookup(15.0, 2)
         assert grid.lookup(3.0, 50) == grid.lookup(3.0, 6)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        st.one_of(st.integers(1, 40), st.sampled_from([9_999, 10_000])),
+        st.sampled_from([0.5, 0.25, 1.0, 0.1]),
+        st.integers(-50, 50),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_lookup_matches_argmin(self, points, step, start, m_low, orders, seed):
+        rng = np.random.default_rng(seed)
+        axis = start / 2 + step * np.arange(points)
+        # Sorted down the columns, then along the rows: monotone both ways.
+        values = np.sort(np.sort(rng.random((points, orders)), axis=0), axis=1)
+        diversity = tuple(range(m_low, m_low + orders))
+        grid = ProbabilityGrid(snr_db=tuple(axis), diversity=diversity, values=values)
+        k = rng.integers(points, size=8)
+        queries = np.concatenate([
+            axis[k],
+            axis[k] + step / 2,  # midpoints, exact for the power-of-two steps
+            rng.uniform(axis[0] - 10, axis[-1] + 10, 8),
+            [-1e9, 1e9, -np.inf, np.inf],
+        ]).tolist()
+        for query in queries:
+            # Below 1 is an error; below or above the listed orders clamps.
+            for m in (-1, 0, 1, m_low, m_low + orders - 1, m_low + orders + 2):
+                expected = raised_or(grid_lookup_argmin, axis, diversity, values, query, m)
+                got = raised_or(grid.lookup, query, m)
+                assert got == expected
+                assert type(got) in (float, str)
+        if step != 0.1:
+            # Equal distances go to the lower grid point.
+            for row in k.tolist():
+                if row + 1 < points:
+                    assert grid.lookup(axis[row] + step / 2, m_low) == values[row, 0]
 
     def test_csv_round_trip_bit_exact(self, tmp_path):
         grid = build_awgn_grid(PARAMS)
