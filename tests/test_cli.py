@@ -410,18 +410,25 @@ def test_seed_range_is_inclusive():
     assert config_from_dict({"seed": 2**64 - 1}).seed == 2**64 - 1
 
 
-def test_rayleigh_run_leaves_scipy_special_unimported():
-    # scipy.special loads only for the Marcum Q series (AWGN tables).
+@pytest.mark.parametrize("fading", list(FadingKind), ids=lambda kind: kind.value)
+def test_default_run_and_grid_export_leave_scipy_special_unimported(fading, tmp_path):
+    # scipy.special loads only for the Marcum Q series of a non-default AWGN
+    # table; the default table is a recorded constant.
     code = (
         "import sys\n"
         "import jamsense.cli as cli\n"
         "from jamsense.sensing import FadingKind\n"
-        "cli.run(cli.SimConfig(fading=FadingKind.RAYLEIGH, horizon=1, replications=1))\n"
+        f"cli.run(cli.SimConfig(fading=FadingKind.{fading.name}, horizon=1,"
+        " replications=1))\n"
+        f"cli.export_grid(cli.SimConfig(), {str(tmp_path)!r})\n"
         "assert 'scipy.special' not in sys.modules\n"
     )
     src = Path(jamsense.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "grid_awgn.csv", "grid_rayleigh.csv"
+    ]
 
 
 class TestMain:

@@ -307,6 +307,42 @@ class TestProbabilityGrid:
         assert grid.snr_db == tuple(float(s) for s in range(16))
         assert grid.diversity == (1, 2, 3, 4, 5, 6)
 
+    def test_default_awgn_values_equal_p_d_awgn_bit_for_bit(self):
+        expected = np.array([
+            [p_d_awgn(DetectionParams(), 10 ** (s / 10), m) for m in range(1, 7)]
+            for s in range(16)
+        ])
+        grid = build_awgn_grid(DetectionParams())
+        assert grid.values.tobytes() == expected.tobytes(), (
+            "sensing._AWGN_DEFAULT_VALUES no longer matches p_d_awgn; if the "
+            "change is intended, regenerate it from the repr of each row of "
+            "`expected` here and re-pin GRID_AWGN_SHA256 in tests/test_cli.py"
+        )
+
+    @pytest.mark.parametrize(
+        "params, args",
+        [
+            (PARAMS, {"m_max": 5}),
+            (PARAMS, {"snr_db_stop": 14.0}),
+            (DetectionParams(threshold=12.0), {}),
+            (PARAMS, {"snr_db_start": -0.0}),
+        ],
+        ids=["m_max=5", "stop=14", "threshold=12", "start=-0.0"],
+    )
+    def test_other_awgn_arguments_are_computed_on_their_own_axes(self, params, args):
+        start = args.get("snr_db_start", 0.0)
+        stop = args.get("snr_db_stop", 15.0)
+        m_max = args.get("m_max", 6)
+        grid = build_awgn_grid(params, **args)
+        axis = [start + i * 1.0 for i in range(int(stop - start) + 1)]
+        assert np.array(grid.snr_db).tobytes() == np.array(axis).tobytes()
+        assert grid.diversity == tuple(range(1, m_max + 1))
+        expected = [
+            [p_d_awgn(params, 10.0 ** (s / 10.0), m) for m in grid.diversity]
+            for s in axis
+        ]
+        assert grid.values.tobytes() == np.array(expected).tobytes()
+
     def test_zero_threshold_all_ones(self):
         grid = build_awgn_grid(DetectionParams(threshold=0.0))
         assert np.all(grid.values == 1.0)
