@@ -293,25 +293,20 @@ def _super_rows(
 ) -> np.ndarray:
     """Each node's elementwise max of decision rows over its fuse-index segment.
 
-    `decisions` holds (steps, nodes, channels).  Beliefs are 0 < 1 < 2, so
-    the max is known + occupied, with "known" (not UNKNOWN) and "occupied"
-    each ORed over the segment: one `bitwise_or.reduceat` over both masks
-    packed into ceil(channels / 64) 64-bit words each.
+    `decisions` holds (steps, nodes, channels).  The beliefs 0, 1 and 2 are
+    bit flags, so ORing a segment gives 0 (nothing known), 1 (only VACANT),
+    2 (only OCCUPIED) or 3 (both), and clamping 3 to 2 gives the max over
+    0 < 1 < 2.  The rows are ORed as bytes, eight channels to a 64-bit word:
+    one `bitwise_or.reduceat` over rows zero-padded to whole words.
     """
     steps, n, n_fb = decisions.shape
-    masks = np.stack(
-        [decisions != Belief.UNKNOWN, decisions == Belief.OCCUPIED], axis=2
-    )
-    packed = np.zeros((steps, n, 2, -(-n_fb // 64) * 8), dtype=np.uint8)
-    packed[..., : -(-n_fb // 8)] = np.packbits(masks, axis=-1, bitorder="little")
+    padded = np.zeros((steps, n, -(-n_fb // 8) * 8), dtype=np.int8)
+    padded[..., :n_fb] = decisions
     # np.take along the node axis: the fancy index words[:, fuse_index]
-    # takes a much slower path for these 4-D uint64 words.
-    words = np.take(packed.view(np.uint64), fuse_index, axis=1)
-    fused = np.bitwise_or.reduceat(words, starts, axis=1)
-    known, occupied = np.unpackbits(
-        fused.view(np.uint8), axis=-1, count=n_fb, bitorder="little"
-    ).transpose(2, 0, 1, 3)
-    return known + occupied
+    # takes a much slower path for these 3-D uint64 words.
+    words = np.take(padded.view(np.uint64), fuse_index, axis=1)
+    fused = np.bitwise_or.reduceat(words, starts, axis=1).view(np.int8)
+    return np.minimum(fused[..., :n_fb], int(Belief.OCCUPIED))
 
 
 def _step_rows(log: np.ndarray, fuse_index: np.ndarray) -> List[memoryview]:

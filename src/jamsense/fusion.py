@@ -67,10 +67,12 @@ def fuse_observations(
 def fuse_decisions(vectors: Sequence[Sequence[int]]) -> List[int]:
     """Elementwise OR of a node's own and its neighbours' decision rows.
 
-    The engine computes the super vectors of every node over a chunk of
-    steps at once, as one `bitwise_or.reduceat` of packed "known" and
-    "occupied" masks over `NeighborGraph.fuse_index`; this function is the
-    reference the tests check those vectors against.
+    Returns the elementwise max over 0 < 1 < 2.  The engine computes the
+    super vectors of every node over a chunk of steps at once, as one
+    bytewise `bitwise_or.reduceat` of the decision rows over
+    `NeighborGraph.fuse_index`, with the ORed 3 (VACANT | OCCUPIED) clamped
+    to OCCUPIED; this function is the reference the tests check those
+    vectors against.
     """
     own = vectors[0]
     for vec in vectors[1:]:

@@ -3,17 +3,21 @@
 Used by the engine tests and the acceptance property suite: every check
 reconstructs the quantity independently (from actions, the neighbor
 graph, and raw observations) and compares against what the engine
-recorded.  The jammer truth, the policy's actions and the transmit
-channels are replayed step by step from fresh substreams through the
-spec functions.
+recorded.  The jammer truth, the sensing verdicts, the policy's actions
+and the transmit channels are replayed step by step from fresh
+substreams through the spec functions and the detection tables.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from typing import Callable, Tuple
+
 import numpy as np
 
 from jamsense import rng as rngmod
-from jamsense.engine import JAMMED, SKIPPED, SUCCESSFUL, RunRecord
+from jamsense.engine import JAMMED, SKIPPED, SUCCESSFUL, RunRecord, SimConfig
 from jamsense.fusion import (
     Belief,
     candidate_channels,
@@ -21,13 +25,21 @@ from jamsense.fusion import (
     fuse_observations,
 )
 from jamsense.jammers import init_chains, step as step_chain
-from jamsense.network import NeighborGraph, build_neighbor_graph
+from jamsense.network import NeighborGraph, build_neighbor_graph, snr_at_node
 from jamsense.policies import (
     PolicyKind,
     choose_action_pseudo_random,
     choose_action_qlearning,
     choose_action_uniform,
     update_q,
+)
+from jamsense.sensing import (
+    FadingKind,
+    build_awgn_grid,
+    build_rayleigh_grid,
+    false_alarm_probability,
+    p_d_awgn,
+    p_d_rayleigh_single,
 )
 
 
@@ -50,21 +62,6 @@ def check_structural_invariants(record: RunRecord) -> int:
             (observations == Belief.VACANT) | (observations == Belief.OCCUPIED)
         )
         checks += 1
-
-        # Cohort sizes: recomputed, bounded by 1 + degree (or node count
-        # when the global-cohort flag is set).
-        for i in range(n):
-            if config.global_cohort:
-                m = int(np.sum(actions == actions[i]))
-                bound = n
-            else:
-                m = 1 + sum(
-                    1 for j in graph.neighbors[i] if actions[j] == actions[i]
-                )
-                bound = 1 + graph.degree(i)
-            assert record.cohorts[t, i] == m
-            assert 1 <= m <= bound
-            checks += 1
 
         # Decision vectors equal OR fusion of this step's observations.
         # Each node's inputs: itself, then its neighbours.
@@ -118,6 +115,7 @@ def check_structural_invariants(record: RunRecord) -> int:
     return (
         checks
         + _check_truth_replay(record)
+        + _check_sensing_replay(record, graph)
         + _check_policy_replay(record, graph)
         + _check_transmit_replay(record)
     )
@@ -140,6 +138,80 @@ def _check_truth_replay(record: RunRecord) -> int:
                 step_chain(chain)
         assert record.truth[t].tolist() == [c.active for c in chains], t
     return 1 + len(record)
+
+
+def spec_detection(config: SimConfig) -> Tuple[np.ndarray, Callable[[int, int], float]]:
+    """Each node's jammer SNR in dB, and p_d(i, m) from the spec functions.
+
+    p_d is node i's detection probability at cohort size m under AWGN, and
+    its single-node value, whatever m, under Rayleigh fading: the grid's
+    nearest-SNR lookup with `grid_lookup`, the exact expression otherwise.
+    """
+    params = config.detection
+    placement = config.resolved_placement()
+    snr = [snr_at_node(placement, i, params.sigma2) for i in range(config.n_wn)]
+    snr_db = 10.0 * np.log10(snr)
+    awgn = config.fading is FadingKind.AWGN
+    if config.grid_lookup:
+        snr_range = (
+            config.grid_snr_min_db, config.grid_snr_max_db, config.grid_snr_step_db
+        )
+        grid = (
+            build_awgn_grid(params, *snr_range, config.grid_m_max)
+            if awgn
+            else build_rayleigh_grid(params, *snr_range)
+        )
+        return snr_db, lambda i, m: grid.lookup(snr_db[i], m if awgn else 1)
+    if awgn:
+        return snr_db, lambda i, m: p_d_awgn(params, snr[i], m)
+    return snr_db, lambda i, m: p_d_rayleigh_single(params, snr[i])
+
+
+def _check_sensing_replay(record: RunRecord, graph: NeighborGraph) -> int:
+    """Replay every cohort and verdict on a fresh sensing stream; return the checks.
+
+    Each step draws `random(n_fb)` with a shared draw, where a node reads
+    its channel's value, and `random(n)` otherwise, where node i reads value
+    i.  A node's cohort is itself and its neighbours on its channel (with a
+    global cohort, every node on its channel, in index order).  The node
+    reports OCCUPIED exactly when its value is below its probability: p_d
+    at its cohort size m if the channel is jammed, p_fa at m if not.  Under
+    Rayleigh fading p_d is 1 - exp(sum of log(1 - p_j)) over the cohort
+    members' single-node values, summed in cohort order.
+    """
+    config = record.config
+    n, n_fb = config.n_wn, config.n_fb
+    awgn = config.fading is FadingKind.AWGN
+    snr_db, p_d = spec_detection(config)
+    assert record.snr_db == tuple(snr_db.tolist())
+    # Exact AWGN values cost a Marcum Q series each; compute each (i, m) once.
+    p_d = functools.lru_cache(maxsize=None)(p_d)
+
+    rng = rngmod.substream(record.run_seed, rngmod.SENSING)
+    checks = 0
+    for t in range(len(record)):
+        draws = rng.random(n_fb if config.shared_draw else n).tolist()
+        actions = record.actions[t].tolist()
+        for i, channel in enumerate(actions):
+            if config.global_cohort:
+                cohort = [j for j in range(n) if actions[j] == channel]
+            else:
+                cohort = [i] + [
+                    j for j in graph.neighbors[i] if actions[j] == channel
+                ]
+            m = len(cohort)
+            assert record.cohorts[t, i] == m, (t, i)
+            if not record.truth[t, channel]:
+                p = false_alarm_probability(config.false_alarm, config.fading, m)
+            elif awgn:
+                p = p_d(i, m)
+            else:
+                p = -math.expm1(sum(math.log1p(-p_d(j, 1)) for j in cohort))
+            u = draws[channel] if config.shared_draw else draws[i]
+            expected = Belief.OCCUPIED if u < p else Belief.VACANT
+            assert record.observations[t, i] == expected, (t, i)
+            checks += 1
+    return checks
 
 
 def _check_transmit_replay(record: RunRecord) -> int:

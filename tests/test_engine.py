@@ -28,22 +28,17 @@ from jamsense.network import (
     Placement,
     build_neighbor_graph,
     default_placement,
-    snr_at_node,
 )
 from jamsense.policies import PolicyKind
 from jamsense.sensing import (
     DetectionParams,
     FadingKind,
     FalseAlarmTable,
-    build_awgn_grid,
-    build_rayleigh_grid,
     false_alarm_probability,
-    p_d_awgn,
     p_d_rayleigh_combined,
-    p_d_rayleigh_single,
 )
 
-from invariants import check_structural_invariants
+from invariants import check_structural_invariants, spec_detection
 
 
 def forced_world(config: SimConfig, active: bool) -> _World:
@@ -230,23 +225,8 @@ def test_world_tables_match_direct_evaluation(fading, grid_lookup):
         grid_lookup=grid_lookup, global_cohort=True, replications=1,
     )
     world = forced_world(config, active=True)
-    n, params = config.n_wn, config.detection
-    snr = [snr_at_node(config.resolved_placement(), i, params.sigma2) for i in range(n)]
-    snr_range = (config.grid_snr_min_db, config.grid_snr_max_db, config.grid_snr_step_db)
-    if fading is FadingKind.AWGN:
-        grid = build_awgn_grid(params, *snr_range, config.grid_m_max)
-        direct = (
-            (lambda i, m: grid.lookup(10.0 * math.log10(snr[i]), m))
-            if grid_lookup
-            else (lambda i, m: p_d_awgn(params, snr[i], m))
-        )
-    else:
-        grid = build_rayleigh_grid(params, *snr_range)
-        single = (
-            (lambda j: grid.lookup(10.0 * math.log10(snr[j]), 1))
-            if grid_lookup
-            else (lambda j: p_d_rayleigh_single(params, snr[j]))
-        )
+    n = config.n_wn
+    _, direct = spec_detection(config)
     # The step reads p_d at column min(m, columns) - 1 (AWGN) or sums the
     # cohort's log-miss values (Rayleigh), and p_fa at min(m, len) - 1.
     columns, fa_orders = world.p_d.shape[1], len(world.p_fa)
@@ -258,7 +238,7 @@ def test_world_tables_match_direct_evaluation(fading, grid_lookup):
                 assert p == direct(i, m)
             else:
                 p = -math.expm1(sum(world.log_miss[j] for j in cohort))
-                expected = p_d_rayleigh_combined([single(j) for j in cohort])
+                expected = p_d_rayleigh_combined([direct(j, 1) for j in cohort])
                 assert p == pytest.approx(expected, rel=1e-12, abs=1e-15)
     for m in range(1, n + 1):
         assert world.p_fa[min(m, fa_orders) - 1] == false_alarm_probability(
@@ -578,14 +558,17 @@ PINNED_MODE_SHA256 = {
 }
 
 
-# The open-loop passes run in chunks of steps.  65 and 130 channels take two
-# and three 64-bit mask words in super-decision fusion.
+# The open-loop passes run in chunks of steps.  Super-decision fusion ORs
+# decision rows eight channels to a 64-bit word: 8 channels fill one word
+# exactly, 9 spill one byte into a second, and 65 and 130 take 9 and 17.
 CHUNK_MODES = {
     "super-on": dict(),
     "super-off": dict(use_super_decision=False),
     "qlearning-rayleigh": dict(policy=PolicyKind.QLEARNING, fading=FadingKind.RAYLEIGH),
     "isolated-node": dict(placement=ISOLATED_PLACEMENT),
     "one-channel": dict(n_fb=1),
+    "8-channels": dict(n_fb=8),
+    "9-channels": dict(n_fb=9),
     "13-channels": dict(n_fb=13),
     "65-channels": dict(n_fb=65),
     "130-channels": dict(n_fb=130),
@@ -611,5 +594,5 @@ def test_records_do_not_depend_on_the_chunk_size(monkeypatch, mode):
     for entries in (1, 2**40):
         monkeypatch.setattr(engine, "_CHUNK_ENTRIES", entries)
         assert_records_equal(run(config), default)
-    if config.n_fb > 64:
+    if config.n_fb > 8:
         assert check_structural_invariants(default) > 0
