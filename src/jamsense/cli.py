@@ -35,14 +35,8 @@ import numpy as np
 from . import __version__
 from .engine import BatchResult, SimConfig, run, run_batch
 from .network import Placement
-from .policies import QParams
-from .sensing import (
-    DetectionParams,
-    FadingKind,
-    FalseAlarmTable,
-    build_awgn_grid,
-    build_rayleigh_grid,
-)
+from .policies import PolicyKind, QParams
+from .sensing import DetectionParams, FadingKind, FalseAlarmTable
 
 
 class ConfigError(ValueError):
@@ -59,11 +53,7 @@ class ExperimentPreset:
 
 
 # Every preset runs these curves: one per policy.
-_POLICY_CURVES = (
-    ("pseudo_random", {"policy": "pseudo_random"}),
-    ("uniform", {"policy": "uniform"}),
-    ("qlearning", {"policy": "qlearning"}),
-)
+_POLICY_CURVES = tuple((kind.value, {"policy": kind.value}) for kind in PolicyKind)
 
 PRESETS: Dict[str, ExperimentPreset] = {
     p.name: p
@@ -147,6 +137,8 @@ def _cast(tp, value, where: str):
             try:
                 order = int(key)
             except (TypeError, ValueError):
+                order = None
+            if str(order) != str(key):  # "01", "1_0", " 1" would alias "1"
                 raise ConfigError(f"{where}: key {key!r} is not an integer")
             out[order] = _cast(args[1], v, f"{where}.{key}")
         return out
@@ -229,6 +221,8 @@ def _read_json(path: Path) -> Dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})")
+    except (ValueError, RecursionError) as exc:  # too deep, or too many digits
+        raise ConfigError(f"{path}: {exc}")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file ({exc.strerror})")
     return _object(data, str(path))
@@ -347,14 +341,11 @@ def export_grid(config: SimConfig, out_dir) -> List[Path]:
     """Write the AWGN table and the Rayleigh m=1 column as CSV files."""
     _check_exportable(config)
     out_dir = _make_out_dir(out_dir)
-    snr_range = (config.grid_snr_min_db, config.grid_snr_max_db, config.grid_snr_step_db)
-    awgn = build_awgn_grid(config.detection, *snr_range, config.grid_m_max)
-    rayleigh = build_rayleigh_grid(config.detection, *snr_range)
     with _removed_on_failure() as written:
-        for name, grid in (("grid_awgn.csv", awgn), ("grid_rayleigh.csv", rayleigh)):
-            path = out_dir / name
+        for kind in FadingKind:
+            path = out_dir / f"grid_{kind.value}.csv"
             written.append(path)
-            grid.to_csv(path)
+            config.grid(kind).to_csv(path)
     return written
 
 

@@ -38,7 +38,6 @@ from . import rng as rngmod
 from .fusion import Belief, candidate_channels, fuse_observations
 from .jammers import init_chains, step as step_chain
 from .network import (
-    NeighborGraph,
     Placement,
     build_neighbor_graph,
     default_placement,
@@ -58,11 +57,13 @@ from .sensing import (
     DetectionParams,
     FadingKind,
     FalseAlarmTable,
+    ProbabilityGrid,
     build_awgn_grid,
     build_rayleigh_grid,
     false_alarm_probability,
     p_d_awgn,
     p_d_rayleigh_single,
+    snr_axis,
     snr_axis_points,
     snr_in_range,
 )
@@ -180,7 +181,9 @@ class SimConfig:
                 f"detection.threshold: threshold/sigma2 = {ratio:.6g} exceeds "
                 f"{RAYLEIGH_MAX_THRESHOLD_RATIO}, where the Rayleigh table is NaN"
             )
-        top_db = self.grid_snr_top_db()
+        top_db = snr_axis(
+            self.grid_snr_min_db, self.grid_snr_max_db, self.grid_snr_step_db
+        )[-1]
         try:
             top = 10.0 ** (top_db / 10.0)
         except OverflowError:
@@ -193,12 +196,12 @@ class SimConfig:
                     f"{kind.value} detection model can evaluate"
                 )
 
-    def grid_snr_top_db(self) -> float:
-        """SNR of the detection grid's last point, which `snr_axis_points` places."""
-        points = snr_axis_points(
-            self.grid_snr_min_db, self.grid_snr_max_db, self.grid_snr_step_db
-        )
-        return self.grid_snr_min_db + (points - 1) * self.grid_snr_step_db
+    def grid(self, kind: FadingKind) -> ProbabilityGrid:
+        """The detection table of `kind` over this config's SNR axis."""
+        axis = (self.grid_snr_min_db, self.grid_snr_max_db, self.grid_snr_step_db)
+        if kind is FadingKind.AWGN:
+            return build_awgn_grid(self.detection, *axis, self.grid_m_max)
+        return build_rayleigh_grid(self.detection, *axis)
 
     def resolved_placement(self) -> Placement:
         return self.placement if self.placement is not None else default_placement(self.n_wn)
@@ -255,19 +258,11 @@ class _World:
         # cohorts read the last column.  Columns stop where the evaluator
         # stops telling m apart: a grid clamps m at its last column, and
         # Rayleigh values are single-node ones that cohorts combine.
-        awgn = config.fading is FadingKind.AWGN
         if config.grid_lookup:
-            snr_range = (
-                config.grid_snr_min_db, config.grid_snr_max_db, config.grid_snr_step_db
-            )
-            grid = (
-                build_awgn_grid(params, *snr_range, config.grid_m_max)
-                if awgn
-                else build_rayleigh_grid(params, *snr_range)
-            )
+            grid = config.grid(config.fading)
             columns = min(n, len(grid.diversity))
             p_d = lambda i, m: grid.lookup(self.snr_db[i], m)
-        elif awgn:
+        elif config.fading is FadingKind.AWGN:
             columns = n
             p_d = lambda i, m: p_d_awgn(params, self.snr_linear[i], m)
         else:
@@ -280,12 +275,16 @@ class _World:
         with np.errstate(divide="ignore"):
             self.log_miss = np.log1p(-self.p_d[:, 0])
 
-        # False-alarm probability per m, up to the largest listed order.
-        fa = config.false_alarm
+        # By cohort size m = 0 .. n (0 never occurs; it reads m = 1): the
+        # false-alarm probability, and the p_d column, clamped at the last.
         self.p_fa = np.array([
-            false_alarm_probability(fa, config.fading, m)
-            for m in range(1, min(n, max(fa.awgn if awgn else fa.rayleigh)) + 1)
+            false_alarm_probability(config.false_alarm, config.fading, max(m, 1))
+            for m in range(n + 1)
         ])
+        self.p_d_column = np.clip(np.arange(n + 1), 1, columns) - 1
+        # (lo, hi) per node i: fuse_index[lo:hi] is node i, then its neighbours.
+        bounds = self.graph.fuse_starts.tolist() + [len(self.graph.fuse_index)]
+        self.segments = list(zip(bounds, bounds[1:]))
 
 
 def _super_rows(
@@ -317,13 +316,6 @@ def _step_rows(log: np.ndarray, fuse_index: np.ndarray) -> List[memoryview]:
     return [flat[k : k + width] for k in range(0, len(flat), width)]
 
 
-def _segments(graph: NeighborGraph) -> List[Tuple[int, int]]:
-    """(lo, hi) per node: node i's segment fuse_index[lo:hi] is node i, then
-    its neighbours."""
-    bounds = graph.fuse_starts.tolist() + [len(graph.fuse_index)]
-    return list(zip(bounds, bounds[1:]))
-
-
 def _sense_and_act(world: _World, truth_log: np.ndarray) -> Tuple[np.ndarray, ...]:
     """The closed loop over steps: sensing, then the policy.
 
@@ -349,15 +341,10 @@ def _sense_and_act(world: _World, truth_log: np.ndarray) -> Tuple[np.ndarray, ..
     )
     graph = world.graph
     fuse_index, starts, owner = graph.fuse_index, graph.fuse_starts, graph.fuse_owner
-    segments = _segments(graph)
+    segments, p_fa, p_d_column = world.segments, world.p_fa, world.p_d_column
     nodes = np.arange(n)
     awgn = config.fading is FadingKind.AWGN
     occupied, vacant = int(Belief.OCCUPIED), int(Belief.VACANT)
-    # Tables indexed by cohort size m = 0 .. n (m = 0 never occurs): p_fa at
-    # min(m, orders) - 1, and the p_d column min(m, columns) - 1.
-    sizes = np.arange(n + 1)
-    p_fa = world.p_fa[np.clip(sizes, 1, len(world.p_fa)) - 1]
-    p_d_column = np.clip(sizes, 1, world.p_d.shape[1]) - 1
 
     for t in range(horizon):
         # Sensing sub-slot.  In shared-draw mode one uniform per channel
@@ -448,7 +435,6 @@ def _fuse_and_transmit(
     # np.take copies a read-only index on every call; the graph's is
     # read-only, so the run gathers through one writeable copy of it.
     fuse_index, starts = world.graph.fuse_index.copy(), world.graph.fuse_starts
-    segments = _segments(world.graph)
     span = max(1, _CHUNK_ENTRIES // len(fuse_index))
     # A flat view of the transmit log, in (step, node) order.
     transmits = transmit_log.reshape(-1)
@@ -465,7 +451,7 @@ def _fuse_and_transmit(
             b"".join([
                 bytes(fuse_observations(a[lo:hi], o[lo:hi], n_fb))
                 for a, o in zip(acts, obs)
-                for lo, hi in segments
+                for lo, hi in world.segments
             ]),
             dtype=np.int8,
         ).reshape(t1 - t0, n, n_fb)
@@ -619,14 +605,16 @@ class BatchResult:
         return float(self.tsr_final.mean())
 
     def jdr_final_se(self) -> float:
-        if self.replications < 2:
-            return 0.0
-        return float(self.jdr_final.std(ddof=1) / np.sqrt(self.replications))
+        return _standard_error(self.jdr_final)
 
     def tsr_final_se(self) -> float:
-        if self.replications < 2:
-            return 0.0
-        return float(self.tsr_final.std(ddof=1) / np.sqrt(self.replications))
+        return _standard_error(self.tsr_final)
+
+
+def _standard_error(finals: np.ndarray) -> float:
+    """Standard error of the mean of per-replication finals; 0 for one."""
+    n = len(finals)
+    return float(finals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
 
 def _replicate(args: Tuple[SimConfig, int]) -> Tuple:

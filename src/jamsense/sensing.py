@@ -284,11 +284,14 @@ def p_d_rayleigh_single(params: DetectionParams, mean_snr: float) -> float:
     g = params.noncentrality * mean_snr
     y = 0.0 if x == 0.0 else x * g / (2.0 * params.sigma2 + g)
 
-    # First finite sum: e^{-x} * sum_{i=0}^{u-2} x^i / i!
+    # First finite sum: e^{-x} * sum_{i=0}^{u-2} x^i / i!, ended where a term
+    # underflows to 0.0, as every later one does (so large N costs no time).
     term = 1.0
     head = 1.0
     for i in range(1, u - 1):
         term *= x / i
+        if term == 0.0:
+            break
         head += term
     # Tail series: x^{u-1} * sum_{j>=0} y^j / (u-1+j)!
     term = math.exp((u - 1) * math.log(x) - math.lgamma(u)) if x > 0 else 0.0
@@ -411,7 +414,8 @@ def snr_axis_points(start: float, stop: float, step: float) -> float:
     return float(np.rint((stop - start) / step)) + 1.0
 
 
-def _snr_axis(start: float, stop: float, step: float) -> tuple:
+def snr_axis(start: float, stop: float, step: float) -> tuple:
+    """The grids' SNR axis in dB: `snr_axis_points` values, `step` apart."""
     n = int(snr_axis_points(start, stop, step))
     return tuple(start + i * step for i in range(n))
 
@@ -469,7 +473,7 @@ def build_awgn_grid(
     the values are `_AWGN_DEFAULT_VALUES`, the recorded output of the loop
     below, so that table loads no scipy.  Any other table is computed.
     """
-    snr_db = _snr_axis(snr_db_start, snr_db_stop, snr_db_step)
+    snr_db = snr_axis(snr_db_start, snr_db_stop, snr_db_step)
     diversity = tuple(range(1, m_max + 1))
     if (params, snr_db_start, snr_db_stop, snr_db_step, m_max) == _AWGN_DEFAULT_ARGS:
         return ProbabilityGrid(snr_db, diversity, _AWGN_DEFAULT_VALUES)
@@ -492,7 +496,7 @@ def build_rayleigh_grid(
     Cooperative orders are combined at run time from these m = 1 values,
     so the table has a single diversity column.
     """
-    snr_db = _snr_axis(snr_db_start, snr_db_stop, snr_db_step)
+    snr_db = snr_axis(snr_db_start, snr_db_stop, snr_db_step)
     values = np.empty((len(snr_db), 1))
     for i, s in enumerate(snr_db):
         values[i, 0] = p_d_rayleigh_single(params, 10.0 ** (s / 10.0))

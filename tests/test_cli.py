@@ -58,6 +58,20 @@ def config_not_utf8(tmp_path):
     return path
 
 
+def config_deeply_nested(tmp_path):
+    """A config file nesting more lists than the JSON parser recurses into."""
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    return path
+
+
+def config_huge_integer(tmp_path):
+    """A config file with an integer past Python's digit limit for int()."""
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": ' + "9" * 5001 + "}")
+    return path
+
+
 class TestParseConfig:
     def test_minimal_seed_only_gives_reference_scenario(self, tmp_path):
         config = parse_config(write_config(tmp_path, {"seed": 1}))
@@ -133,6 +147,10 @@ class TestParseConfig:
             ({"epsilon_n": "0.1"}, "epsilon_n"),
             ({"fading": 3}, "fading"),
             ({"false_alarm": {"awgn": {"one": 0.1}}}, "false_alarm.awgn"),
+            # Only canonical integer keys: these would alias "1", "10" and "2".
+            ({"false_alarm": {"awgn": {"1": 0.1, "01": 0.2}}}, "false_alarm.awgn"),
+            ({"false_alarm": {"awgn": {"1_0": 0.1}}}, "false_alarm.awgn"),
+            ({"false_alarm": {"awgn": {" 2": 0.1}}}, "false_alarm.awgn"),
             (
                 {"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0.2, 0]], "jammer": [0]}},
                 "placement.jammer",
@@ -404,6 +422,19 @@ class TestExportGrid:
         grid = ProbabilityGrid.from_csv(tmp_path / "grid_awgn.csv")
         assert np.all(grid.values == 1.0)
 
+    def test_huge_sample_count_exports(self, tmp_path):
+        # The Rayleigh closed form sums N/2 - 1 terms per SNR point; all but a
+        # few hundred underflow to 0.0 and are not visited.  So much noise
+        # energy lies far above the threshold, and every entry of both tables
+        # is 1.
+        from jamsense.sensing import DetectionParams
+
+        config = SimConfig(detection=DetectionParams(n_samples=10**12))
+        export_grid(config, tmp_path)
+        for kind in FadingKind:
+            grid = ProbabilityGrid.from_csv(tmp_path / f"grid_{kind.value}.csv")
+            assert np.all(grid.values == 1.0)
+
 
 def test_seed_range_is_inclusive():
     assert config_from_dict({"seed": 0}).seed == 0
@@ -523,6 +554,8 @@ class TestMain:
             ({}, ["--workers", "-4"], "--workers"),
             (config_directory, [], "config.json"),
             (config_not_utf8, [], "config.json"),
+            (config_deeply_nested, [], "config.json"),
+            (config_huge_integer, [], "config.json"),
             # Seeds are 64-bit: -1 and 2**64 - 1 would otherwise run alike.
             ({}, ["--seed", "-1"], "seed"),
             ({}, ["--seed", str(2**64)], "seed"),

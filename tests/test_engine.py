@@ -227,21 +227,20 @@ def test_world_tables_match_direct_evaluation(fading, grid_lookup):
     world = forced_world(config, active=True)
     n = config.n_wn
     _, direct = spec_detection(config)
-    # The step reads p_d at column min(m, columns) - 1 (AWGN) or sums the
-    # cohort's log-miss values (Rayleigh), and p_fa at min(m, len) - 1.
-    columns, fa_orders = world.p_d.shape[1], len(world.p_fa)
+    # The step reads p_d at column p_d_column[m] (AWGN) or sums the cohort's
+    # log-miss values (Rayleigh), and p_fa[m].
     for i in range(n):
         for m in range(1, n + 1):
             cohort = [(i + k) % n for k in range(m)]
             if fading is FadingKind.AWGN:
-                p = world.p_d[i, min(m, columns) - 1]
+                p = world.p_d[i, world.p_d_column[m]]
                 assert p == direct(i, m)
             else:
                 p = -math.expm1(sum(world.log_miss[j] for j in cohort))
                 expected = p_d_rayleigh_combined([direct(j, 1) for j in cohort])
                 assert p == pytest.approx(expected, rel=1e-12, abs=1e-15)
     for m in range(1, n + 1):
-        assert world.p_fa[min(m, fa_orders) - 1] == false_alarm_probability(
+        assert world.p_fa[m] == false_alarm_probability(
             config.false_alarm, fading, m
         )
     largest_fa_order = max(getattr(config.false_alarm, fading.value))
