@@ -38,6 +38,7 @@ from . import rng as rngmod
 from .fusion import Belief, candidate_channels, fuse_observations
 from .jammers import init_chains, step as step_chain
 from .network import (
+    NeighborGraph,
     Placement,
     build_neighbor_graph,
     default_placement,
@@ -216,7 +217,7 @@ class RunRecord:
     run_seed: int
     chain_params: Tuple[Tuple[float, float, bool], ...]  # (stay_idle, stay_active, initial)
     snr_db: Tuple[float, ...]  # per node, before any grid clamping
-    edges: Tuple[Tuple[int, int], ...]
+    graph: NeighborGraph
     truth: np.ndarray
     actions: np.ndarray
     observations: np.ndarray
@@ -228,6 +229,10 @@ class RunRecord:
 
     def __len__(self) -> int:
         return self.truth.shape[0]
+
+    @property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        return self.graph.edges()
 
 
 class _World:
@@ -506,7 +511,7 @@ def _run_world(world: _World) -> RunRecord:
         run_seed=world.run_seed,
         chain_params=chain_params,
         snr_db=tuple(float(s) for s in world.snr_db),
-        edges=world.graph.edges(),
+        graph=world.graph,
         truth=truth_log,
         actions=action_log,
         observations=obs_log,
@@ -593,8 +598,12 @@ class BatchResult:
     transmissions_attempted: bool
     # Replication 0's resolved world, as in its RunRecord.
     snr_db: Tuple[float, ...]
-    edges: Tuple[Tuple[int, int], ...]
+    graph: NeighborGraph
     chain_params: Tuple[Tuple[float, float, bool], ...]
+
+    @property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        return self.graph.edges()
 
     @property
     def jdr_final_mean(self) -> float:
@@ -623,7 +632,7 @@ def _replicate(args: Tuple[SimConfig, int]) -> Tuple:
     record = run(config, replication=r)
     detected, total = detection_counts(record)
     successful, attempted = transmission_counts(record)
-    world = (record.snr_db, record.edges, record.chain_params) if r == 0 else None
+    world = (record.snr_db, record.graph, record.chain_params) if r == 0 else None
     return (
         _prefix_ratio(detected, total),
         _prefix_ratio(successful, attempted),
@@ -656,7 +665,7 @@ def run_batch(config: SimConfig, workers: int = 1) -> BatchResult:
 
     jdr = np.stack([res[0] for res in results])
     tsr = np.stack([res[1] for res in results])
-    snr_db, edges, chain_params = results[0][4]
+    snr_db, graph, chain_params = results[0][4]
     ddof = 1 if reps > 1 else 0
     return BatchResult(
         config=config,
@@ -670,6 +679,6 @@ def run_batch(config: SimConfig, workers: int = 1) -> BatchResult:
         jamming_occurred=all(res[2] for res in results),
         transmissions_attempted=all(res[3] for res in results),
         snr_db=snr_db,
-        edges=edges,
+        graph=graph,
         chain_params=chain_params,
     )

@@ -9,9 +9,10 @@ the transmission range (boundary inclusive).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -104,55 +105,94 @@ def snr_at_node(placement: Placement, node: int, noise_var: float = 1.0) -> floa
     return 10.0 ** (rx_db / 10.0) / noise_var
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborGraph:
-    """Symmetric, irreflexive adjacency as per-node sorted index tuples.
+    """Symmetric, irreflexive adjacency as one read-only "self, then
+    neighbours" index in compressed sparse row form.
 
-    Also holds the "self, then neighbours" index in compressed sparse row
-    form: segment i of `fuse_index` starts at `fuse_starts[i]` and lists
-    node i, then its neighbours in listed order; `fuse_owner[k]` is the
-    node whose segment holds entry k.  Per-node reductions over a node and
-    its neighbours are one `reduceat` or `bincount` over these arrays.
+    Segment i of `fuse_index` starts at `fuse_starts[i]` and lists node i,
+    then its neighbours in listed order; `fuse_owner[k]` is the node whose
+    segment holds entry k.  Per-node reductions over a node and its
+    neighbours are one `reduceat` or `bincount` over these arrays.  The
+    per-node tuples `neighbors` are built from them on first read, and
+    `edges()` on every call.  Build a graph with `build_neighbor_graph` or
+    `NeighborGraph.from_neighbors`.
     """
 
-    neighbors: Tuple[Tuple[int, ...], ...]
-    fuse_index: np.ndarray = field(init=False, repr=False, compare=False)
-    fuse_starts: np.ndarray = field(init=False, repr=False, compare=False)
-    fuse_owner: np.ndarray = field(init=False, repr=False, compare=False)
+    fuse_index: np.ndarray
+    fuse_starts: np.ndarray
+    fuse_owner: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.neighbors)
-        degrees = np.fromiter(map(len, self.neighbors), np.intp, n)
+        for value in (self.fuse_index, self.fuse_starts, self.fuse_owner):
+            value.flags.writeable = False
+
+    def __reduce__(self):
+        # Unpickled arrays are writeable; rebuilding through the constructor
+        # makes them read-only again.  The cached tuples are not sent.
+        return (NeighborGraph, (self.fuse_index, self.fuse_starts, self.fuse_owner))
+
+    @classmethod
+    def from_neighbors(cls, neighbors) -> "NeighborGraph":
+        """The graph in which node i lists the neighbours `neighbors[i]`.
+
+        Raises ValueError for the first listed edge that is a self-loop, out
+        of range or missing its reverse.
+        """
+        n = len(neighbors)
+        degrees = np.fromiter(map(len, neighbors), np.intp, n)
         cols = np.fromiter(
-            itertools.chain.from_iterable(self.neighbors), np.intp, degrees.sum()
+            itertools.chain.from_iterable(neighbors), np.intp, degrees.sum()
         )
         # The check's n x n adjacency is freed before the index is built.
         _check_edges(np.repeat(np.arange(n), degrees), cols, n)
+        return _csr_graph(degrees, cols)
 
-        starts = np.zeros(n, np.intp)
-        np.cumsum(degrees[:-1] + 1, out=starts[1:])
-        owner = np.repeat(np.arange(n), degrees + 1)
-        index = owner.copy()
-        is_neighbor = np.ones(index.size, dtype=bool)
-        is_neighbor[starts] = False
-        index[is_neighbor] = cols
-        for name, value in (
-            ("fuse_index", index), ("fuse_starts", starts), ("fuse_owner", owner)
-        ):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NeighborGraph):
+            return NotImplemented
+        # The owners follow from the segment starts.
+        return np.array_equal(self.fuse_starts, other.fuse_starts) and np.array_equal(
+            self.fuse_index, other.fuse_index
+        )
+
+    @functools.cached_property
+    def neighbors(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each node's neighbours in listed order."""
+        index = self.fuse_index.tolist()
+        bounds = self.fuse_starts.tolist() + [len(index)]
+        return tuple(
+            tuple(index[lo + 1 : hi]) for lo, hi in zip(bounds, bounds[1:])
+        )
 
     @property
     def n_nodes(self) -> int:
-        return len(self.neighbors)
+        return len(self.fuse_starts)
 
     def degree(self, node: int) -> int:
-        return len(self.neighbors[node])
+        stops = np.append(self.fuse_starts[1:], len(self.fuse_index))
+        return int(stops[node] - self.fuse_starts[node]) - 1
 
     def edges(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple([
-            (i, j) for i, nbrs in enumerate(self.neighbors) for j in nbrs if i < j
-        ])
+        """Each edge (i, j) once, with i < j: in node order, then listed order."""
+        later = self.fuse_owner < self.fuse_index
+        return tuple(
+            zip(self.fuse_owner[later].tolist(), self.fuse_index[later].tolist())
+        )
+
+
+def _csr_graph(degrees: np.ndarray, cols: np.ndarray) -> NeighborGraph:
+    """The graph in which node i lists `degrees[i]` neighbours, taken in
+    order from `cols`."""
+    n = len(degrees)
+    starts = np.zeros(n, np.intp)
+    np.cumsum(degrees[:-1] + 1, out=starts[1:])
+    owner = np.repeat(np.arange(n), degrees + 1)
+    index = owner.copy()
+    is_neighbor = np.ones(index.size, dtype=bool)
+    is_neighbor[starts] = False
+    index[is_neighbor] = cols
+    return NeighborGraph(fuse_index=index, fuse_starts=starts, fuse_owner=owner)
 
 
 def _check_edges(rows: np.ndarray, cols: np.ndarray, n: int) -> None:
@@ -179,15 +219,22 @@ def _check_edges(rows: np.ndarray, cols: np.ndarray, n: int) -> None:
 
 
 def build_neighbor_graph(placement: Placement) -> NeighborGraph:
-    """Edge (i, j) iff euclidean distance <= transmission range, i != j."""
+    """Edge (i, j) iff euclidean distance <= transmission range, i != j.
+
+    Neighbours are listed in index order.  The test is exactly symmetric,
+    since x_i - x_j is -(x_j - x_i) and `hypot` ignores signs, so the
+    edges need no symmetry check.
+    """
     if placement.n_nodes < 1:
         raise ValueError("placement must contain at least one node")
     x, y = np.asarray(placement.nodes, dtype=float).T
-    neighbors = []
+    degrees, cols = [], []
     for lo in range(0, x.size, _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
         adj = np.hypot(x[block, None] - x, y[block, None] - y) <= placement.range_km
-        for i, row in enumerate(adj, start=lo):
-            row[i] = False
-            neighbors.append(tuple(np.flatnonzero(row).tolist()))
-    return NeighborGraph(neighbors=tuple(neighbors))
+        diagonal = np.arange(len(adj))
+        adj[diagonal, diagonal + lo] = False
+        rows, block_cols = np.nonzero(adj)
+        degrees.append(np.bincount(rows, minlength=len(adj)))
+        cols.append(block_cols)
+    return _csr_graph(np.concatenate(degrees), np.concatenate(cols))

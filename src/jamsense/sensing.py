@@ -20,6 +20,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import sys
@@ -363,18 +364,24 @@ class ProbabilityGrid:
         if np.any(np.diff(values, axis=1) < -1e-12):
             raise ValueError("grid entries must be non-decreasing in diversity")
         values.setflags(write=False)
-        # Built once for every lookup: the SNR axis as an array, and the
-        # entries as rows of Python floats.
-        axis = np.array(self.snr_db)
-        axis.setflags(write=False)
-        object.__setattr__(self, "_axis", axis)
+        # Built once for every lookup: the entries as rows of Python floats.
         object.__setattr__(self, "_rows", tuple(map(tuple, values.tolist())))
 
     def lookup(self, snr_db: float, m: int) -> float:
-        """Nearest-SNR, clamped lookup; exact at grid points."""
+        """Nearest-SNR, clamped lookup; exact at grid points.
+
+        Raises ValueError for m < 1 and for a NaN SNR.
+        """
         if m < 1:
             raise ValueError(f"diversity order must be >= 1, got {m}")
-        row = np.abs(self._axis - snr_db).argmin()
+        if math.isnan(snr_db):
+            raise ValueError("SNR query is NaN")
+        axis = self.snr_db
+        query = min(max(snr_db, axis[0]), axis[-1])
+        # axis[row - 1] < query <= axis[row]; equal distances go low.
+        row = bisect.bisect_left(axis, query)
+        if row and query - axis[row - 1] <= axis[row] - query:
+            row -= 1
         col = min(max(m, self.diversity[0]), self.diversity[-1]) - self.diversity[0]
         return self._rows[row][col]
 

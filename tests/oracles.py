@@ -7,9 +7,9 @@ Monte-Carlo SNR draws through scipy's distribution, and the literal
 closed-form evaluator follows the two-finite-sum arrangement directly.
 
 The reference bodies at the end are the plain per-entry forms of
-`fuse_observations`, `ProbabilityGrid.lookup` and `NeighborGraph.edges`,
-which the faster library bodies must match value for value and error for
-error.
+`fuse_observations`, `ProbabilityGrid.lookup`, `NeighborGraph.edges` and
+`build_neighbor_graph`'s neighbour rows, which the faster library bodies
+must match value for value and error for error.
 """
 
 from __future__ import annotations
@@ -116,11 +116,16 @@ def fuse_observations_loop(channels, verdicts, n_channels: int) -> list:
 
 
 def grid_lookup_argmin(snr_db, diversity, values, query_db: float, m: int) -> float:
-    """Nearest axis point by `np.argmin` (first of equal distances), both
-    axes clamped."""
+    """Nearest axis point by `np.argmin` (first of equal distances) to the
+    query clipped into the axis, so that far queries do not tie; both axes
+    clamped."""
     if m < 1:
         raise ValueError(f"diversity order must be >= 1, got {m}")
-    row = int(np.argmin(np.abs(np.asarray(snr_db, dtype=float) - query_db)))
+    if math.isnan(query_db):
+        raise ValueError("SNR query is NaN")
+    axis = np.asarray(snr_db, dtype=float)
+    query = np.clip(query_db, axis[0], axis[-1])
+    row = int(np.argmin(np.abs(axis - query)))
     col = min(max(m, diversity[0]), diversity[-1]) - diversity[0]
     return float(np.asarray(values, dtype=float)[row, col])
 
@@ -131,3 +136,15 @@ def edges_loop(neighbors) -> tuple:
     for i, nbrs in enumerate(neighbors):
         out.extend((i, j) for j in nbrs if i < j)
     return tuple(out)
+
+
+def neighbor_rows_loop(placement) -> tuple:
+    """Per-node neighbour tuples in index order, one row of the distance
+    test at a time, with the row's own entry cleared."""
+    x, y = np.asarray(placement.nodes, dtype=float).T
+    rows = []
+    for i in range(x.size):
+        row = np.hypot(x[i] - x, y[i] - y) <= placement.range_km
+        row[i] = False
+        rows.append(tuple(np.flatnonzero(row).tolist()))
+    return tuple(rows)

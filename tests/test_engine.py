@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from jamsense.sensing import (
 )
 
 from invariants import check_structural_invariants, spec_detection
+from oracles import edges_loop
 
 
 def forced_world(config: SimConfig, active: bool) -> _World:
@@ -292,6 +294,35 @@ def test_run_batch_workers_equivalence():
     par = run_batch(config, workers=2)
     assert np.array_equal(seq.jdr_mean, par.jdr_mean)
     assert np.array_equal(seq.tsr_final, par.tsr_final)
+    # Replication 0's graph comes back from the worker that ran it.
+    assert par.graph == seq.graph
+    assert par.edges == seq.edges
+    assert not par.graph.fuse_index.flags.writeable
+
+
+def test_runs_keep_the_graph_as_its_index_arrays():
+    config = SimConfig(n_wn=400, horizon=2, replications=1)
+    batch = run_batch(config)
+    record = run(config)
+    # Nothing in a run reads the per-node neighbour tuples.
+    assert "neighbors" not in vars(batch.graph)
+    assert "neighbors" not in vars(record.graph)
+    assert batch.graph == record.graph
+    assert record.edges == edges_loop(record.graph.neighbors)
+    assert batch.edges == edges_loop(batch.graph.neighbors)
+
+
+def test_run_batch_memory_at_2000_nodes():
+    # Mean degree about 650: the graph's index arrays hold 1.3M entries, and
+    # neither the neighbour tuples nor the edge list is built.
+    config = SimConfig(n_wn=2000, horizon=2, replications=1)
+    tracemalloc.start()
+    try:
+        run_batch(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2**20
 
 
 def test_run_batch_workers_equivalence_custom_false_alarms():

@@ -16,7 +16,7 @@ from jamsense.network import (
     snr_at_node,
 )
 
-from oracles import edges_loop
+from oracles import edges_loop, neighbor_rows_loop
 
 
 class TestReceivedPower:
@@ -72,6 +72,40 @@ class TestSnr:
             snr_at_node(default_placement(4), 4)
 
 
+@st.composite
+def lattice_placements(draw):
+    """Up to 300 nodes (the distance test runs in blocks of 128 rows) on a
+    1/64-km lattice, where differences and axis-aligned distances are exact.
+
+    Each node after the first is a random lattice point, a copy of an
+    earlier node, an earlier node moved exactly `range_km` along an axis,
+    or an isolated node 2 km from every other; a jitter off the lattice
+    leaves the boundary pairs to rounding.
+    """
+    n = draw(st.one_of(st.integers(1, 300), st.sampled_from([128, 129, 256, 257])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    range_km = draw(st.integers(1, 40)) / 64
+    span = draw(st.integers(1, 200)) / 64
+    nodes = [rng.integers(-64 * span, 64 * span, 2, endpoint=True) / 64]
+    for i in range(1, n):
+        kind = rng.integers(4)
+        earlier = nodes[rng.integers(i)]
+        if kind == 0:
+            nodes.append(rng.integers(-64 * span, 64 * span, 2, endpoint=True) / 64)
+        elif kind == 1:
+            nodes.append(earlier.copy())
+        elif kind == 2:
+            step = np.zeros(2)
+            step[rng.integers(2)] = rng.choice([-range_km, range_km])
+            nodes.append(earlier + step)
+        else:
+            nodes.append(np.array([1000.0 + 2.0 * i, -1000.0]))
+    nodes = np.array(nodes)
+    if draw(st.booleans()):
+        nodes += rng.uniform(-1e-3, 1e-3, nodes.shape)
+    return Placement(nodes=tuple(map(tuple, nodes.tolist())), range_km=range_km)
+
+
 class TestNeighborGraph:
     def test_boundary_distance_counts_as_neighbor(self):
         placement = Placement(nodes=((0.0, 0.0), (0.45, 0.0)), range_km=0.45)
@@ -123,20 +157,43 @@ class TestNeighborGraph:
         neighbors = tuple(
             tuple(rng.permutation(np.flatnonzero(row)).tolist()) for row in adjacency
         )
-        assert NeighborGraph(neighbors=neighbors).edges() == edges_loop(neighbors)
+        assert NeighborGraph.from_neighbors(neighbors).edges() == edges_loop(neighbors)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lattice_placements())
+    def test_build_matches_row_loop(self, placement):
+        rows = neighbor_rows_loop(placement)
+        graph = build_neighbor_graph(placement)
+        listed = NeighborGraph.from_neighbors(rows)
+        assert graph.neighbors == rows
+        for name in ("fuse_index", "fuse_starts", "fuse_owner"):
+            built, expected = getattr(graph, name), getattr(listed, name)
+            assert built.dtype == expected.dtype, name
+            assert np.array_equal(built, expected), name
+            assert not built.flags.writeable, name
+        assert graph == listed
+        assert graph.edges() == edges_loop(rows)
+        assert [graph.degree(i) for i in range(graph.n_nodes)] == list(map(len, rows))
+
+    def test_neighbor_tuples_built_on_first_read(self):
+        graph = build_neighbor_graph(default_placement(10))
+        assert "neighbors" not in vars(graph)
+        assert graph.edges() == edges_loop(neighbor_rows_loop(default_placement(10)))
+        assert "neighbors" not in vars(graph)
+        assert graph.neighbors is graph.neighbors
 
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(ValueError):
-            NeighborGraph(neighbors=((1,), ()))
+            NeighborGraph.from_neighbors(((1,), ()))
         with pytest.raises(ValueError):
-            NeighborGraph(neighbors=((0,),))
+            NeighborGraph.from_neighbors(((0,),))
         with pytest.raises(ValueError, match="out of range"):
-            NeighborGraph(neighbors=((5,), ()))
+            NeighborGraph.from_neighbors(((5,), ()))
         # Several faults: the first bad edge in listing order is reported.
         with pytest.raises(ValueError, match=r"asymmetric edge \(0, 1\)"):
-            NeighborGraph(neighbors=((1,), (2,), (2,)))
+            NeighborGraph.from_neighbors(((1,), (2,), (2,)))
         with pytest.raises(ValueError, match="index -1 out of range"):
-            NeighborGraph(neighbors=((-1,), (1,)))
+            NeighborGraph.from_neighbors(((-1,), (1,)))
 
 
 class TestPlacement:

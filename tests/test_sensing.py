@@ -368,6 +368,21 @@ class TestProbabilityGrid:
         assert grid.lookup(99.0, 2) == grid.lookup(15.0, 2)
         assert grid.lookup(3.0, 50) == grid.lookup(3.0, 6)
 
+    def test_lookup_clamps_extreme_queries(self):
+        # Every distance to a far query rounds to the same value, so a plain
+        # nearest-point search would read the first row for all of them.
+        grid = build_awgn_grid(PARAMS)
+        top, bottom = grid.lookup(15.0, 2), grid.lookup(0.0, 2)
+        assert top > bottom
+        for query in (15.6, 1e9, 1e308, math.inf):
+            assert grid.lookup(query, 2) == top
+        for query in (-0.6, -1e9, -1e308, -math.inf):
+            assert grid.lookup(query, 2) == bottom
+        with pytest.raises(ValueError, match="NaN"):
+            grid.lookup(math.nan, 2)
+        with pytest.raises(ValueError, match="diversity order"):
+            grid.lookup(math.nan, 0)
+
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
         st.one_of(st.integers(1, 40), st.sampled_from([9_999, 10_000])),
@@ -389,7 +404,7 @@ class TestProbabilityGrid:
             axis[k],
             axis[k] + step / 2,  # midpoints, exact for the power-of-two steps
             rng.uniform(axis[0] - 10, axis[-1] + 10, 8),
-            [-1e9, 1e9, -np.inf, np.inf],
+            [-1e9, 1e9, -1e308, 1e308, -np.inf, np.inf, np.nan],
         ]).tolist()
         for query in queries:
             # Below 1 is an error; below or above the listed orders clamps.
