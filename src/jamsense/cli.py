@@ -150,9 +150,12 @@ def _cast(tp, value, where: str):
                 f"{where}: {value!r} is not one of {[k.value for k in tp]}"
             )
     expected, ok = _LEAVES[tp]
-    if not ok(value):
-        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
-    return tp(value)
+    try:
+        if ok(value):
+            return tp(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
 
 
 def _build(cls, data, where: str):

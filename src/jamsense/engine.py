@@ -257,7 +257,9 @@ class _World:
         self.snr_linear = np.array(
             [snr_at_node(self.placement, i, params.sigma2) for i in range(n)]
         )
-        self.snr_db = 10.0 * np.log10(self.snr_linear)
+        # An SNR that underflows to 0 is -inf dB, a grid's first row.
+        with np.errstate(divide="ignore"):
+            self.snr_db = 10.0 * np.log10(self.snr_linear)
 
         # Detection probability per (node, m) for m = 1 .. len(row); larger
         # cohorts read the last column.  Columns stop where the evaluator

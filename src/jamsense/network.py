@@ -10,7 +10,6 @@ the transmission range (boundary inclusive).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -111,12 +110,11 @@ class NeighborGraph:
     neighbours" index in compressed sparse row form.
 
     Segment i of `fuse_index` starts at `fuse_starts[i]` and lists node i,
-    then its neighbours in listed order; `fuse_owner[k]` is the node whose
+    then its neighbours in index order; `fuse_owner[k]` is the node whose
     segment holds entry k.  Per-node reductions over a node and its
     neighbours are one `reduceat` or `bincount` over these arrays.  The
     per-node tuples `neighbors` are built from them on first read, and
-    `edges()` on every call.  Build a graph with `build_neighbor_graph` or
-    `NeighborGraph.from_neighbors`.
+    `edges()` on every call.  `build_neighbor_graph` builds the graph.
     """
 
     fuse_index: np.ndarray
@@ -132,22 +130,6 @@ class NeighborGraph:
         # makes them read-only again.  The cached tuples are not sent.
         return (NeighborGraph, (self.fuse_index, self.fuse_starts, self.fuse_owner))
 
-    @classmethod
-    def from_neighbors(cls, neighbors) -> "NeighborGraph":
-        """The graph in which node i lists the neighbours `neighbors[i]`.
-
-        Raises ValueError for the first listed edge that is a self-loop, out
-        of range or missing its reverse.
-        """
-        n = len(neighbors)
-        degrees = np.fromiter(map(len, neighbors), np.intp, n)
-        cols = np.fromiter(
-            itertools.chain.from_iterable(neighbors), np.intp, degrees.sum()
-        )
-        # The check's n x n adjacency is freed before the index is built.
-        _check_edges(np.repeat(np.arange(n), degrees), cols, n)
-        return _csr_graph(degrees, cols)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NeighborGraph):
             return NotImplemented
@@ -158,7 +140,7 @@ class NeighborGraph:
 
     @functools.cached_property
     def neighbors(self) -> Tuple[Tuple[int, ...], ...]:
-        """Each node's neighbours in listed order."""
+        """Each node's neighbours in index order."""
         index = self.fuse_index.tolist()
         bounds = self.fuse_starts.tolist() + [len(index)]
         return tuple(
@@ -169,12 +151,8 @@ class NeighborGraph:
     def n_nodes(self) -> int:
         return len(self.fuse_starts)
 
-    def degree(self, node: int) -> int:
-        stops = np.append(self.fuse_starts[1:], len(self.fuse_index))
-        return int(stops[node] - self.fuse_starts[node]) - 1
-
     def edges(self) -> Tuple[Tuple[int, int], ...]:
-        """Each edge (i, j) once, with i < j: in node order, then listed order."""
+        """Each edge (i, j) once, with i < j, in ascending order."""
         later = self.fuse_owner < self.fuse_index
         return tuple(
             zip(self.fuse_owner[later].tolist(), self.fuse_index[later].tolist())
@@ -193,29 +171,6 @@ def _csr_graph(degrees: np.ndarray, cols: np.ndarray) -> NeighborGraph:
     is_neighbor[starts] = False
     index[is_neighbor] = cols
     return NeighborGraph(fuse_index=index, fuse_starts=starts, fuse_owner=owner)
-
-
-def _check_edges(rows: np.ndarray, cols: np.ndarray, n: int) -> None:
-    """Raise ValueError for the first listed edge (rows[k], cols[k]) of an
-    n-node graph that is a self-loop, out of range or missing its reverse.
-
-    The edges come in listing order, so the first bad edge is the one a
-    per-edge loop would report.
-    """
-    in_range = (cols >= 0) & (cols < n)
-    # Out-of-range entries are bad already; give them a harmless index.
-    safe = np.where(in_range, cols, rows)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[rows, safe] = True
-    bad = (rows == cols) | ~in_range | ~adj[safe, rows]
-    if bad.any():
-        k = int(np.argmax(bad))
-        i, j = int(rows[k]), int(cols[k])
-        if j == i:
-            raise ValueError(f"node {i} listed as its own neighbor")
-        if not 0 <= j < n:
-            raise ValueError(f"neighbor index {j} out of range")
-        raise ValueError(f"asymmetric edge ({i}, {j})")
 
 
 def build_neighbor_graph(placement: Placement) -> NeighborGraph:

@@ -117,8 +117,6 @@ class WordDraws:
             raise ValueError(f"integers(k) needs 1 <= k <= 2**32, got {k}")
         if k == 1:
             return 0
-        if k == 1 << 32:
-            return self._uint32()
         m = self._uint32() * k
         if m & _MASK32 < k:
             threshold = ((1 << 32) - k) % k

@@ -395,21 +395,6 @@ class ProbabilityGrid:
                     [m] + [f"{v:.17g}" for v in self.values[:, col]]
                 )
 
-    @classmethod
-    def from_csv(cls, path) -> "ProbabilityGrid":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0][:1] != ["m"]:
-            raise ValueError(f"{path}: not a probability-grid CSV")
-        snr_db = tuple(float(s) for s in rows[0][1:])
-        diversity = []
-        columns = []
-        for row in rows[1:]:
-            diversity.append(int(row[0]))
-            columns.append([float(v) for v in row[1:]])
-        values = np.asarray(columns, dtype=float).T
-        return cls(snr_db=snr_db, diversity=tuple(diversity), values=values)
-
 
 def snr_axis_points(start: float, stop: float, step: float) -> float:
     """Number of points of the grids' SNR axis from `start` toward `stop`.

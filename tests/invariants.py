@@ -150,7 +150,8 @@ def spec_detection(config: SimConfig) -> Tuple[np.ndarray, Callable[[int, int], 
     params = config.detection
     placement = config.resolved_placement()
     snr = [snr_at_node(placement, i, params.sigma2) for i in range(config.n_wn)]
-    snr_db = 10.0 * np.log10(snr)
+    with np.errstate(divide="ignore"):
+        snr_db = 10.0 * np.log10(snr)
     awgn = config.fading is FadingKind.AWGN
     if config.grid_lookup:
         snr_range = (

@@ -138,3 +138,45 @@ def test_global_cohorts_match_closed_form_detections():
         z.append((detected.sum() - q * occupied) / math.sqrt(q * (1.0 - q) * occupied))
     mean_z = float(np.mean(z))
     assert abs(mean_z) < COHORT_BOUND, (mean_z, COHORT_BOUND)
+
+
+PSEUDO_N_FB = 5
+
+
+@pytest.mark.parametrize("fading", list(FadingKind), ids=lambda kind: kind.value)
+def test_one_pseudo_random_node_matches_closed_form_detections(fading):
+    # One node under pseudo-random, with no neighbours: after sensing channel
+    # c it stays on c when it observed c occupied, which happens with
+    # probability p_d if c is jammed and p_fa if not (the sticky branch).
+    # Otherwise it explores, uniformly over the other n_fb - 1 channels; the
+    # epsilon branch needs a neighbour and never fires.  Given the truth log,
+    # the forward recursion from a uniform first channel gives P_t(c), the
+    # chance that it senses c at step t, and the expected detections are
+    #   sum over t, c of P_t(c) * truth_t[c] * p_d.
+    # Steps are dependent, so the bound is on the t-statistic of the
+    # per-replication differences (observed - expected), over their
+    # empirical standard error.
+    config = SimConfig(
+        n_wn=1,
+        n_fb=PSEUDO_N_FB,
+        policy=PolicyKind.PSEUDO_RANDOM,
+        fading=fading,
+        horizon=HORIZON,
+        replications=REPLICATIONS,
+        seed=SEED,
+    )
+    p_d, p_fa = P_D_0DB[fading], P_FA_M1[fading]
+    differences = []
+    for r in range(REPLICATIONS):
+        record = run(config, replication=r)
+        assert record.snr_db[0] < -0.5
+        p = np.full(PSEUDO_N_FB, 1.0 / PSEUDO_N_FB)
+        expected = 0.0
+        for jammed in record.truth:
+            expected += p_d * p[jammed].sum()
+            stay = np.where(jammed, p_d, p_fa)
+            leave = p * (1.0 - stay)
+            p = p * stay + (leave.sum() - leave) / (PSEUDO_N_FB - 1)
+        differences.append(detection_counts(record)[0].sum() - expected)
+    t = np.mean(differences) / (np.std(differences, ddof=1) / math.sqrt(REPLICATIONS))
+    assert abs(t) < 4.0, t

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,25 @@ def test_structural_invariants_default_config():
 def test_structural_invariants_fuzzed(overrides):
     config = SimConfig(horizon=40, seed=31, replications=1, **overrides)
     assert check_structural_invariants(run(config)) > 0
+
+
+@pytest.mark.parametrize("grid_lookup", [True, False])
+@pytest.mark.parametrize("fading", list(FadingKind), ids=lambda kind: kind.value)
+def test_zero_snr_node_runs_without_warnings(fading, grid_lookup):
+    # A path-loss exponent of -1000 underflows both nodes' jammer SNR to 0.0:
+    # -inf dB, which the grid clamps to its first row.
+    placement = Placement(
+        nodes=((1.0, 0.0), (1.1, 0.0)), path_loss_exponent=-1000.0
+    )
+    config = SimConfig(
+        n_wn=2, horizon=30, seed=5, replications=1, placement=placement,
+        fading=fading, grid_lookup=grid_lookup,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = run(config)
+        assert check_structural_invariants(record) > 0
+    assert record.snr_db == (-math.inf, -math.inf)
 
 
 def test_exact_mode_matches_grid_at_grid_points():

@@ -1,6 +1,7 @@
 """Detection-math tests: Marcum Q, closed forms, tables, grids."""
 
 import copy
+import csv
 import math
 import pickle
 
@@ -423,10 +424,15 @@ class TestProbabilityGrid:
         grid = build_awgn_grid(PARAMS)
         path = tmp_path / "grid.csv"
         grid.to_csv(path)
-        loaded = ProbabilityGrid.from_csv(path)
-        assert loaded.snr_db == grid.snr_db
-        assert loaded.diversity == grid.diversity
-        assert np.array_equal(loaded.values, grid.values)
+        # Header "m", then the SNR axis; one row per diversity order.  Entries
+        # are written with %.17g, so they read back bit for bit.
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header[0] == "m"
+        assert tuple(map(float, header[1:])) == grid.snr_db
+        assert tuple(int(row[0]) for row in rows) == grid.diversity
+        values = np.array([[float(v) for v in row[1:]] for row in rows]).T
+        assert np.array_equal(values, grid.values)
 
     def test_rayleigh_grid_single_column(self):
         grid = build_rayleigh_grid(PARAMS)
