@@ -105,13 +105,19 @@ _LEAVES = {
 }
 
 
+def _brief(value) -> str:
+    """`repr(value)` cut to 40 characters; the error's path names the field."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _object(value, where: str, keys=None) -> Dict:
     """`value` as a JSON object whose keys all lie in `keys` (if given)."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object, got {value!r}")
+        raise ConfigError(f"{where}: expected an object, got {_brief(value)}")
     for key in value:
         if keys is not None and key not in keys:
-            raise ConfigError(f"unknown key '{key}' in {where}")
+            raise ConfigError(f"unknown key {_brief(key)} in {where}")
     return value
 
 
@@ -124,10 +130,12 @@ def _cast(tp, value, where: str):
         return None if value is None else _cast(args[0], value, where)
     if origin is tuple:  # Tuple[X, ...] or fixed-length Tuple[X, Y]
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where}: expected a list, got {value!r}")
+            raise ConfigError(f"{where}: expected a list, got {_brief(value)}")
         types = args[:1] * len(value) if args[-1] is Ellipsis else args
         if len(types) != len(value):
-            raise ConfigError(f"{where}: expected {len(types)} entries, got {value!r}")
+            raise ConfigError(
+                f"{where}: expected {len(types)} entries, got {_brief(value)}"
+            )
         return tuple(
             _cast(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(types, value))
         )
@@ -139,7 +147,7 @@ def _cast(tp, value, where: str):
             except (TypeError, ValueError):
                 order = None
             if str(order) != str(key):  # "01", "1_0", " 1" would alias "1"
-                raise ConfigError(f"{where}: key {key!r} is not an integer")
+                raise ConfigError(f"{where}: key {_brief(key)} is not an integer")
             out[order] = _cast(args[1], v, f"{where}.{key}")
         return out
     if isinstance(tp, type) and issubclass(tp, Enum):
@@ -147,7 +155,7 @@ def _cast(tp, value, where: str):
             return tp(value)
         except ValueError:
             raise ConfigError(
-                f"{where}: {value!r} is not one of {[k.value for k in tp]}"
+                f"{where}: {_brief(value)} is not one of {[k.value for k in tp]}"
             )
     expected, ok = _LEAVES[tp]
     try:
@@ -155,7 +163,7 @@ def _cast(tp, value, where: str):
             return tp(value)
     except OverflowError:  # an integer beyond the float range
         pass
-    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    raise ConfigError(f"{where}: expected {expected}, got {_brief(value)}")
 
 
 def _build(cls, data, where: str):
@@ -207,7 +215,7 @@ def _no_duplicates(pairs):
     out = {}
     for key, value in pairs:
         if key in seen:
-            raise ConfigError(f"duplicate key '{key}'")
+            raise ConfigError(f"duplicate key {_brief(key)}")
         seen.add(key)
         out[key] = value
     return out

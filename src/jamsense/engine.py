@@ -238,11 +238,13 @@ class RunRecord:
 class _World:
     """Resolved per-run state: geometry, probability tables, substreams."""
 
-    def __init__(self, config: SimConfig, run_seed: int):
+    def __init__(self, config: SimConfig, replication: int):
+        run_seed = rngmod.derive_seed(config.seed, rngmod.REPLICATION, replication)
         self.config = config
+        self.replication = replication
         self.run_seed = run_seed
-        self.placement = config.resolved_placement()
-        self.graph = build_neighbor_graph(self.placement)
+        placement = config.resolved_placement()
+        self.graph = build_neighbor_graph(placement)
         self.chains = init_chains(config.n_fb, config.jammer_bounds, run_seed)
         self.sensing_rng = rngmod.substream(run_seed, rngmod.SENSING)
         # The policy and transmit streams draw one scalar at a time, which
@@ -254,12 +256,10 @@ class _World:
 
         n = config.n_wn
         params = config.detection
-        self.snr_linear = np.array(
-            [snr_at_node(self.placement, i, params.sigma2) for i in range(n)]
-        )
+        snr = np.array([snr_at_node(placement, i, params.sigma2) for i in range(n)])
         # An SNR that underflows to 0 is -inf dB, a grid's first row.
         with np.errstate(divide="ignore"):
-            self.snr_db = 10.0 * np.log10(self.snr_linear)
+            self.snr_db = 10.0 * np.log10(snr)
 
         # Detection probability per (node, m) for m = 1 .. len(row); larger
         # cohorts read the last column.  Columns stop where the evaluator
@@ -271,10 +271,10 @@ class _World:
             p_d = lambda i, m: grid.lookup(self.snr_db[i], m)
         elif config.fading is FadingKind.AWGN:
             columns = n
-            p_d = lambda i, m: p_d_awgn(params, self.snr_linear[i], m)
+            p_d = lambda i, m: p_d_awgn(params, snr[i], m)
         else:
             columns = 1
-            p_d = lambda i, m: p_d_rayleigh_single(params, self.snr_linear[i])
+            p_d = lambda i, m: p_d_rayleigh_single(params, snr[i])
         self.p_d = np.array(
             [[p_d(i, m) for m in range(1, columns + 1)] for i in range(n)]
         )
@@ -347,7 +347,7 @@ def _sense_and_act(world: _World, truth_log: np.ndarray) -> Tuple[np.ndarray, ..
         [[0.0] * n_fb for _ in range(n)] if policy is PolicyKind.QLEARNING else None
     )
     graph = world.graph
-    fuse_index, starts, owner = graph.fuse_index, graph.fuse_starts, graph.fuse_owner
+    fuse_index, owner = graph.fuse_index, graph.fuse_owner
     segments, p_fa, p_d_column = world.segments, world.p_fa, world.p_d_column
     nodes = np.arange(n)
     awgn = config.fading is FadingKind.AWGN
@@ -363,13 +363,15 @@ def _sense_and_act(world: _World, truth_log: np.ndarray) -> Tuple[np.ndarray, ..
         fused = acts[fuse_index]
         # Cohort: the nodes whose simultaneous sensing of a node's channel
         # sets its diversity order m.  Locally that is the node and its
-        # co-sensing neighbours (segment order: the node first); globally,
-        # every co-sensing node in index order.
+        # co-sensing neighbours (segment order: the node first), one bin per
+        # node; globally, every co-sensing node in index order, one bin per
+        # channel.  Sizes and log-miss sums are sums over each node's bin.
         if config.global_cohort:
-            cohorts = np.bincount(acts, minlength=n_fb)[acts]
+            bins, members, gather = acts, nodes, acts
         else:
-            same = fused == acts[owner]
-            cohorts = np.add.reduceat(same, starts)
+            same = np.flatnonzero(fused == acts[owner])  # gathers faster than a mask
+            bins, members, gather = owner[same], fuse_index[same], nodes
+        cohorts = np.bincount(bins)[gather]
         jammed = truth_log[t, acts]
         p = p_fa[cohorts]
         if awgn:
@@ -378,14 +380,7 @@ def _sense_and_act(world: _World, truth_log: np.ndarray) -> Tuple[np.ndarray, ..
             # Rayleigh: the cohort misses only if every member does.  The
             # log-miss sums add in cohort order; the combining stays scalar
             # libm expm1, which numpy's vector expm1 need not match bit for bit.
-            if config.global_cohort:
-                log_miss = np.bincount(
-                    acts, weights=world.log_miss, minlength=n_fb
-                )[acts]
-            else:
-                log_miss = np.bincount(
-                    owner[same], weights=world.log_miss[fuse_index[same]], minlength=n
-                )
+            log_miss = np.bincount(bins, world.log_miss[members])[gather]
             for i in np.flatnonzero(jammed).tolist():
                 p[i] = -math.expm1(log_miss[i])
         u = draws[acts] if config.shared_draw else draws
@@ -509,7 +504,7 @@ def _run_world(world: _World) -> RunRecord:
 
     return RunRecord(
         config=config,
-        replication=0,
+        replication=world.replication,
         run_seed=world.run_seed,
         chain_params=chain_params,
         snr_db=tuple(float(s) for s in world.snr_db),
@@ -527,10 +522,7 @@ def _run_world(world: _World) -> RunRecord:
 
 def run(config: SimConfig, replication: int = 0) -> RunRecord:
     """Execute one seeded run; `replication` selects the derived seed."""
-    run_seed = rngmod.derive_seed(config.seed, rngmod.REPLICATION, replication)
-    record = _run_world(_World(config, run_seed))
-    record.replication = replication
-    return record
+    return _run_world(_World(config, replication))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +581,6 @@ class BatchResult:
     """Mean/std metric curves over independent replications."""
 
     config: SimConfig
-    replications: int
     jdr_mean: np.ndarray
     jdr_std: np.ndarray
     tsr_mean: np.ndarray
@@ -665,21 +656,20 @@ def run_batch(config: SimConfig, workers: int = 1) -> BatchResult:
     else:
         results = [_replicate(task) for task in tasks]
 
-    jdr = np.stack([res[0] for res in results])
-    tsr = np.stack([res[1] for res in results])
-    snr_db, graph, chain_params = results[0][4]
+    jdr, tsr, jamming, attempts, worlds = zip(*results)
+    jdr, tsr = np.stack(jdr), np.stack(tsr)
+    snr_db, graph, chain_params = worlds[0]
     ddof = 1 if reps > 1 else 0
     return BatchResult(
         config=config,
-        replications=reps,
         jdr_mean=jdr.mean(axis=0),
         jdr_std=jdr.std(axis=0, ddof=ddof),
         tsr_mean=tsr.mean(axis=0),
         tsr_std=tsr.std(axis=0, ddof=ddof),
         jdr_final=jdr[:, -1].copy(),
         tsr_final=tsr[:, -1].copy(),
-        jamming_occurred=all(res[2] for res in results),
-        transmissions_attempted=all(res[3] for res in results),
+        jamming_occurred=all(jamming),
+        transmissions_attempted=all(attempts),
         snr_db=snr_db,
         graph=graph,
         chain_params=chain_params,

@@ -147,30 +147,12 @@ class NeighborGraph:
             tuple(index[lo + 1 : hi]) for lo, hi in zip(bounds, bounds[1:])
         )
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.fuse_starts)
-
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         """Each edge (i, j) once, with i < j, in ascending order."""
         later = self.fuse_owner < self.fuse_index
         return tuple(
             zip(self.fuse_owner[later].tolist(), self.fuse_index[later].tolist())
         )
-
-
-def _csr_graph(degrees: np.ndarray, cols: np.ndarray) -> NeighborGraph:
-    """The graph in which node i lists `degrees[i]` neighbours, taken in
-    order from `cols`."""
-    n = len(degrees)
-    starts = np.zeros(n, np.intp)
-    np.cumsum(degrees[:-1] + 1, out=starts[1:])
-    owner = np.repeat(np.arange(n), degrees + 1)
-    index = owner.copy()
-    is_neighbor = np.ones(index.size, dtype=bool)
-    is_neighbor[starts] = False
-    index[is_neighbor] = cols
-    return NeighborGraph(fuse_index=index, fuse_starts=starts, fuse_owner=owner)
 
 
 def build_neighbor_graph(placement: Placement) -> NeighborGraph:
@@ -180,16 +162,28 @@ def build_neighbor_graph(placement: Placement) -> NeighborGraph:
     since x_i - x_j is -(x_j - x_i) and `hypot` ignores signs, so the
     edges need no symmetry check.
     """
-    if placement.n_nodes < 1:
+    n = placement.n_nodes
+    if n < 1:
         raise ValueError("placement must contain at least one node")
     x, y = np.asarray(placement.nodes, dtype=float).T
     degrees, cols = [], []
-    for lo in range(0, x.size, _BLOCK_ROWS):
+    for lo in range(0, n, _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        adj = np.hypot(x[block, None] - x, y[block, None] - y) <= placement.range_km
+        with np.errstate(over="ignore"):  # an overflow is inf, out of range
+            distance = np.hypot(x[block, None] - x, y[block, None] - y)
+        adj = distance <= placement.range_km
         diagonal = np.arange(len(adj))
         adj[diagonal, diagonal + lo] = False
         rows, block_cols = np.nonzero(adj)
         degrees.append(np.bincount(rows, minlength=len(adj)))
         cols.append(block_cols)
-    return _csr_graph(np.concatenate(degrees), np.concatenate(cols))
+    # Node i lists degrees[i] neighbours, taken in order from cols.
+    degrees = np.concatenate(degrees)
+    starts = np.zeros(n, np.intp)
+    np.cumsum(degrees[:-1] + 1, out=starts[1:])
+    owner = np.repeat(np.arange(n), degrees + 1)
+    index = owner.copy()
+    is_neighbor = np.ones(index.size, dtype=bool)
+    is_neighbor[starts] = False
+    index[is_neighbor] = np.concatenate(cols)
+    return NeighborGraph(fuse_index=index, fuse_starts=starts, fuse_owner=owner)

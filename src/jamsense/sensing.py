@@ -98,10 +98,8 @@ DEFAULT_RAYLEIGH_FALSE_ALARMS: Dict[int, float] = {
 class FalseAlarmTable:
     """Per-fading-kind false-alarm probabilities keyed by diversity order.
 
-    Lookup is total: orders above the largest listed entry use the last
-    entry, orders between listed entries use the nearest entry at or
-    below, and orders below the smallest listed entry use the smallest.
-    Both tables are copied into read-only mappings when built.
+    Both tables are copied into read-only mappings when built;
+    `false_alarm_probability` reads them.
     """
 
     awgn: Dict[int, float] = field(
@@ -135,18 +133,16 @@ class FalseAlarmTable:
 
 
 def false_alarm_probability(table: FalseAlarmTable, kind: FadingKind, m: int) -> float:
-    """False-alarm probability for diversity order m (total function)."""
+    """False-alarm probability for diversity order m >= 1.
+
+    The entry of the largest listed order at or below m, else of the
+    smallest listed order: orders above the last entry use it, and orders
+    below the first use the first.
+    """
     if m < 1:
         raise ValueError(f"diversity order must be >= 1, got {m}")
     entries = table.awgn if kind is FadingKind.AWGN else table.rayleigh
-    orders = sorted(entries)
-    chosen = orders[0]
-    for order in orders:
-        if order <= m:
-            chosen = order
-        else:
-            break
-    return entries[chosen]
+    return entries[max((k for k in entries if k <= m), default=min(entries))]
 
 
 def marcum_q(order: float, alpha: float, beta: float) -> float:

@@ -572,6 +572,9 @@ class TestMain:
             ({}, ["--seed", str(2**64)], "seed"),
             ({"seed": -1}, [], "seed"),
             ({"seed": 2**64}, [], "seed"),
+            # The echoed value is cut short, so the line stays short.
+            ({"epsilon_n": 10**4000}, [], "epsilon_n"),
+            ({"x" * 4000: 1}, [], "unknown key 'xxx"),
         ],
     )
     def test_invalid_input_exit_two_names_field(
@@ -586,6 +589,9 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert field in err
+        # One line, short apart from the config file's directory.
+        assert err.count("\n") == 1
+        assert len(err.replace(str(tmp_path), "").encode()) < 200
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "export-grid"])

@@ -45,9 +45,9 @@ from oracles import edges_loop
 
 
 def forced_world(config: SimConfig, active: bool) -> _World:
-    """World whose jammers are pinned to one state for the whole run."""
-    run_seed = rngmod.derive_seed(config.seed, rngmod.REPLICATION, 0)
-    world = _World(config, run_seed)
+    """Replication 0's world, with its jammers pinned to one state for the
+    whole run."""
+    world = _World(config, 0)
     for chain in world.chains:
         chain.active = active
     return world
@@ -146,6 +146,7 @@ def test_replication_seeds_differ_and_derive_from_master():
     r1 = run(config, replication=1)
     assert r0.run_seed == rngmod.derive_seed(21, rngmod.REPLICATION, 0)
     assert r1.run_seed == rngmod.derive_seed(21, rngmod.REPLICATION, 1)
+    assert (r0.replication, r1.replication) == (0, 1)
     assert not np.array_equal(r0.actions, r1.actions)
 
 

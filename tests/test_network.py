@@ -1,6 +1,7 @@
 """Geometry, path loss, SNR, and neighbor-graph tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ class TestNeighborGraph:
         placement = Placement(nodes=((0.0, 0.0), (0.2, 0.0)), range_km=1e-9)
         graph = build_neighbor_graph(placement)
         assert graph.edges() == ()
+
+    def test_far_coordinates_are_not_neighbours(self):
+        # 1e308 - (-1e308) overflows to inf, which is out of range, while
+        # nodes 0 and 2 differ by 0.1 km.  The build warns about neither.
+        placement = Placement(nodes=((1e308, 0.0), (-1e308, 0.0), (1e308, 0.1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = build_neighbor_graph(placement)
+        assert graph.edges() == ((0, 2),)
 
     def test_default_scenario_edges_pinned_and_brute_forced(self):
         placement = default_placement(10)
