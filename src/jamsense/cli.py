@@ -24,7 +24,7 @@ import sys
 import typing
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
@@ -33,7 +33,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import __version__
-from .engine import BatchResult, SimConfig, run, run_batch
+from .engine import BatchResult, RunRecord, SimConfig, run, run_batch
 from .network import Placement
 from .policies import PolicyKind, QParams
 from .sensing import DetectionParams, FadingKind, FalseAlarmTable
@@ -43,47 +43,31 @@ class ConfigError(ValueError):
     """Raised for malformed or invalid scenario configs."""
 
 
-@dataclass(frozen=True)
-class ExperimentPreset:
-    """Named scenario bundle: shared deltas, run once per policy curve."""
-
-    name: str
-    description: str
-    base: Dict
-
-
 # Every preset runs these curves: one per policy.
 _POLICY_CURVES = tuple((kind.value, {"policy": kind.value}) for kind in PolicyKind)
 
-PRESETS: Dict[str, ExperimentPreset] = {
-    p.name: p
-    for p in (
-        ExperimentPreset(
-            name="jdr-awgn",
-            description="Detection-ratio comparison of the three policies, AWGN",
-            base={"fading": "awgn"},
-        ),
-        ExperimentPreset(
-            name="jdr-rayleigh",
-            description="Detection-ratio comparison of the three policies, Rayleigh",
-            base={"fading": "rayleigh"},
-        ),
-        ExperimentPreset(
-            name="jdr-awgn-20ch",
-            description="AWGN detection ratio with the band doubled to 20 channels",
-            base={"fading": "awgn", "n_fb": 20},
-        ),
-        ExperimentPreset(
-            name="tsr-local",
-            description="Success rate using local decision vectors only, AWGN",
-            base={"fading": "awgn", "use_super_decision": False},
-        ),
-        ExperimentPreset(
-            name="tsr-super",
-            description="Success rate using super-decision vectors, AWGN",
-            base={"fading": "awgn", "use_super_decision": True},
-        ),
-    )
+# Preset name -> (description, config keys shared by its curves).
+PRESETS: Dict[str, Tuple[str, Dict]] = {
+    "jdr-awgn": (
+        "Detection-ratio comparison of the three policies, AWGN",
+        {"fading": "awgn"},
+    ),
+    "jdr-rayleigh": (
+        "Detection-ratio comparison of the three policies, Rayleigh",
+        {"fading": "rayleigh"},
+    ),
+    "jdr-awgn-20ch": (
+        "AWGN detection ratio with the band doubled to 20 channels",
+        {"fading": "awgn", "n_fb": 20},
+    ),
+    "tsr-local": (
+        "Success rate using local decision vectors only, AWGN",
+        {"fading": "awgn", "use_super_decision": False},
+    ),
+    "tsr-super": (
+        "Success rate using super-decision vectors, AWGN",
+        {"fading": "awgn", "use_super_decision": True},
+    ),
 }
 
 
@@ -278,20 +262,19 @@ def _belief_strings(log: np.ndarray) -> np.ndarray:
     return _BELIEF_BYTES[log].view(f"S{log.shape[-1]}")[..., 0]
 
 
-def _write_trace_csv(path: Path, config: SimConfig) -> None:
-    """Full node-step trace of replication 0 for the given config.
+def _write_trace_csv(path: Path, record: RunRecord) -> None:
+    """Full node-step trace of one run's record.
 
     Each column is built for the whole record by array lookups; the rows of
     one step are then written together from `.tolist()` slices.
     """
-    record = run(config, replication=0)
     tau = _BELIEF_BYTES[record.observations].view("S1")
     transmit = record.transmits.astype(object)
     transmit[record.transmits < 0] = ""
     outcome = _OUTCOME_TEXT[record.outcomes]
     decision = _belief_strings(record.decisions)
     supers = None if record.supers is None else _belief_strings(record.supers)
-    nodes = range(config.n_wn)
+    nodes = range(record.config.n_wn)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -360,18 +343,6 @@ def export_grid(config: SimConfig, out_dir) -> List[Path]:
     return written
 
 
-def _geometry_lines(prefix: str, batch: BatchResult) -> List[str]:
-    """Resolved-world echo: SNRs, neighbor edges, replication-0 chains."""
-    return [
-        f"{prefix}snr_db=" + ",".join(f"{s:.4f}" for s in batch.snr_db),
-        f"{prefix}edges=" + ";".join(f"{i}-{j}" for i, j in batch.edges),
-        f"{prefix}chains_rep0=" + ";".join(
-            f"{stay_idle:.6f},{stay_active:.6f},{int(active)}"
-            for stay_idle, stay_active, active in batch.chain_params
-        ),
-    ]
-
-
 _SUMMARY_KEYS = (
     "policy", "fading", "n_wn", "n_fb", "horizon", "replications", "seed",
     "use_super_decision",
@@ -393,7 +364,13 @@ def _summary_lines(
         lines.append(f"{prefix}tsr_final_se={batch.tsr_final_se():.6f}")
         lines.append(f"{prefix}jdr_defined={batch.jamming_occurred}")
         lines.append(f"{prefix}tsr_defined={batch.transmissions_attempted}")
-        lines.extend(_geometry_lines(prefix, batch))
+        # The resolved world: SNRs, neighbour edges, replication 0's chains.
+        lines.append(f"{prefix}snr_db=" + ",".join(f"{s:.4f}" for s in batch.snr_db))
+        lines.append(f"{prefix}edges=" + ";".join(f"{i}-{j}" for i, j in batch.edges))
+        lines.append(f"{prefix}chains_rep0=" + ";".join(
+            f"{stay_idle:.6f},{stay_active:.6f},{int(active)}"
+            for stay_idle, stay_active, active in batch.chain_params
+        ))
     return lines
 
 
@@ -427,7 +404,7 @@ def run_experiment(
             if trace:
                 path = out_dir / f"trace{suffix}.csv"
                 written.append(path)
-                _write_trace_csv(path, config)
+                _write_trace_csv(path, run(config, replication=0))
         path = out_dir / "summary.txt"
         written.append(path)
         path.write_text("\n".join(_summary_lines(results)) + "\n")
@@ -488,10 +465,10 @@ def _curves_for(args: argparse.Namespace) -> List[Tuple[str, SimConfig]]:
     if args.use_super_decision is not None:
         overrides["use_super_decision"] = args.use_super_decision == "on"
     if args.preset:
-        preset = PRESETS[args.preset]
-        where = f"preset {preset.name}"
+        base = PRESETS[args.preset][1]
+        where = f"preset {args.preset}"
         return [
-            (label, config_from_dict({**preset.base, **deltas, **overrides}, where))
+            (label, config_from_dict({**base, **deltas, **overrides}, where))
             for label, deltas in _POLICY_CURVES
         ]
     data = _read_json(args.config) if args.config else {}
@@ -503,8 +480,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "presets":
-            for preset in PRESETS.values():
-                print(f"{preset.name}: {preset.description}")
+            for name, (description, _) in PRESETS.items():
+                print(f"{name}: {description}")
             return 0
         if args.command == "export-grid":
             config = parse_config(args.config) if args.config else SimConfig()

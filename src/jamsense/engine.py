@@ -623,14 +623,12 @@ def _replicate(args: Tuple[SimConfig, int]) -> Tuple:
     """Curves and flags of one replication, plus replication 0's world."""
     config, r = args
     record = run(config, replication=r)
-    detected, total = detection_counts(record)
-    successful, attempted = transmission_counts(record)
     world = (record.snr_db, record.graph, record.chain_params) if r == 0 else None
     return (
-        _prefix_ratio(detected, total),
-        _prefix_ratio(successful, attempted),
-        bool(total.sum() > 0),
-        bool(attempted.sum() > 0),
+        jdr_curve(record),
+        tsr_curve(record),
+        bool(record.truth.any()),
+        bool((record.outcomes != SKIPPED).any()),
         world,
     )
 

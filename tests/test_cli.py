@@ -30,7 +30,7 @@ from jamsense.cli import (
 from jamsense.engine import JAMMED, SKIPPED, SUCCESSFUL, SimConfig, run, run_batch
 from jamsense.fusion import Belief
 from jamsense.policies import PolicyKind, QParams
-from jamsense.sensing import FadingKind, ProbabilityGrid
+from jamsense.sensing import DetectionParams, FadingKind, ProbabilityGrid
 
 # Pinned after validating grid entries against the quadrature oracle
 # (see test_sensing); guards the CSV export byte layout as well.
@@ -319,7 +319,7 @@ class TestRunExperiment:
     ):
         import jamsense.cli as cli
 
-        def interrupted(path, config):
+        def interrupted(path, record):
             Path(path).write_text("t,node,action\n0,0,")
             raise KeyboardInterrupt
 
@@ -328,6 +328,36 @@ class TestRunExperiment:
         with pytest.raises(KeyboardInterrupt):
             run_experiment([("pseudo_random", config)], tmp_path / "out", trace=True)
         assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize(
+    "seed, replications, jdr_defined, tsr_defined",
+    [(47, 2, True, False), (47, 3, False, False), (40, 2, False, True)],
+)
+def test_degenerate_denominator_flags(
+    tmp_path, seed, replications, jdr_defined, tsr_defined
+):
+    # One node on one channel whose jammer never changes state and is always
+    # detected: a replication whose jammer starts active has no transmission,
+    # and one that starts idle has no jamming.  A flag holds only if it holds
+    # in every replication.
+    config = SimConfig(
+        n_wn=1, n_fb=1, horizon=30, seed=seed, replications=replications,
+        jammer_bounds=(1.0, 1.0), detection=DetectionParams(threshold=0.0),
+    )
+    batch = run_batch(config)
+    assert (batch.jamming_occurred, batch.transmissions_attempted) == (
+        jdr_defined, tsr_defined
+    )
+    records = [run(config, r) for r in range(replications)]
+    assert batch.jamming_occurred == all(rec.truth.any() for rec in records)
+    assert batch.transmissions_attempted == all(
+        (rec.outcomes != SKIPPED).any() for rec in records
+    )
+    run_experiment([("", config)], tmp_path)
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert f"jdr_defined={jdr_defined}" in lines
+    assert f"tsr_defined={tsr_defined}" in lines
 
 
 # Trace modes: super-decision on and off, one and thirteen channels (the
@@ -422,8 +452,6 @@ class TestExportGrid:
         assert hashes["grid_rayleigh.csv"] == GRID_RAYLEIGH_SHA256
 
     def test_zero_threshold_grid_all_ones(self, tmp_path):
-        from jamsense.sensing import DetectionParams
-
         config = SimConfig(detection=DetectionParams(threshold=0.0))
         export_grid(config, tmp_path)
         values = grid_csv_values(tmp_path / "grid_awgn.csv")
@@ -689,12 +717,12 @@ def test_preset_definitions_consistent():
     }
     labels = [label for label, _ in _POLICY_CURVES]
     assert len(labels) == len(set(labels))
-    for preset in PRESETS.values():
+    for name, (_, base) in PRESETS.items():
         for label, deltas in _POLICY_CURVES:
-            merged = dict(preset.base)
+            merged = dict(base)
             merged.update(deltas)
-            config = config_from_dict(merged, where=f"preset {preset.name}")
+            config = config_from_dict(merged, where=f"preset {name}")
             config.validate()
-    assert PRESETS["jdr-awgn-20ch"].base["n_fb"] == 20
-    assert PRESETS["tsr-local"].base["use_super_decision"] is False
-    assert PRESETS["tsr-super"].base["use_super_decision"] is True
+    assert PRESETS["jdr-awgn-20ch"][1]["n_fb"] == 20
+    assert PRESETS["tsr-local"][1]["use_super_decision"] is False
+    assert PRESETS["tsr-super"][1]["use_super_decision"] is True
