@@ -268,7 +268,8 @@ class _World:
         if config.grid_lookup:
             grid = config.grid(config.fading)
             columns = min(n, len(grid.diversity))
-            p_d = lambda i, m: grid.lookup(self.snr_db[i], m)
+            snr_db = self.snr_db.tolist()  # Python floats clamp and bisect faster
+            p_d = lambda i, m: grid.lookup(snr_db[i], m)
         elif config.fading is FadingKind.AWGN:
             columns = n
             p_d = lambda i, m: p_d_awgn(params, snr[i], m)
@@ -349,7 +350,9 @@ def _sense_and_act(world: _World, truth_log: np.ndarray) -> Tuple[np.ndarray, ..
     graph = world.graph
     fuse_index, owner = graph.fuse_index, graph.fuse_owner
     segments, p_fa, p_d_column = world.segments, world.p_fa, world.p_d_column
-    nodes = np.arange(n)
+    # p_d[i, c] is p_d_flat[p_d_base[i] + c]: one 1-D gather per step.
+    p_d_flat = world.p_d.ravel()
+    p_d_base = np.arange(n) * world.p_d.shape[1]
     awgn = config.fading is FadingKind.AWGN
     occupied, vacant = int(Belief.OCCUPIED), int(Belief.VACANT)
 
@@ -363,28 +366,31 @@ def _sense_and_act(world: _World, truth_log: np.ndarray) -> Tuple[np.ndarray, ..
         fused = acts[fuse_index]
         # Cohort: the nodes whose simultaneous sensing of a node's channel
         # sets its diversity order m.  Locally that is the node and its
-        # co-sensing neighbours (segment order: the node first), one bin per
-        # node; globally, every co-sensing node in index order, one bin per
-        # channel.  Sizes and log-miss sums are sums over each node's bin.
+        # co-sensing neighbours (segment order: the node first, so every node
+        # has its bin); globally, every co-sensing node in index order, one
+        # bin per channel.  Sizes and log-miss sums are sums over each bin.
         if config.global_cohort:
-            bins, members, gather = acts, nodes, acts
+            cohorts = np.bincount(acts)[acts]
         else:
-            same = np.flatnonzero(fused == acts[owner])  # gathers faster than a mask
-            bins, members, gather = owner[same], fuse_index[same], nodes
-        cohorts = np.bincount(bins)[gather]
-        jammed = truth_log[t, acts]
+            same = (fused == acts[owner]).nonzero()[0]  # gathers faster than a mask
+            bins = owner[same]
+            cohorts = np.bincount(bins)
+        jammed = truth_log[t][acts]
         p = p_fa[cohorts]
         if awgn:
-            p = np.where(jammed, world.p_d[nodes, p_d_column[cohorts]], p)
+            p = np.where(jammed, p_d_flat[p_d_base + p_d_column[cohorts]], p)
         else:
             # Rayleigh: the cohort misses only if every member does.  The
             # log-miss sums add in cohort order; the combining stays scalar
             # libm expm1, which numpy's vector expm1 need not match bit for bit.
-            log_miss = np.bincount(bins, world.log_miss[members])[gather]
-            for i in np.flatnonzero(jammed).tolist():
-                p[i] = -math.expm1(log_miss[i])
+            if config.global_cohort:
+                log_miss = np.bincount(acts, world.log_miss)[acts].tolist()
+            else:
+                log_miss = np.bincount(bins, world.log_miss[fuse_index[same]]).tolist()
+            hit = jammed.nonzero()[0]
+            p[hit] = [-math.expm1(log_miss[i]) for i in hit.tolist()]
         u = draws[acts] if config.shared_draw else draws
-        verdicts = np.where(u < p, occupied, vacant)
+        verdicts = (u < p) + vacant  # OCCUPIED (VACANT + 1) where u < p
         action_log[t] = acts
         obs_log[t] = verdicts
         cohort_log[t] = cohorts

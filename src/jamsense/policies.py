@@ -66,8 +66,7 @@ def choose_action_pseudo_random(
     u = rng.random()
     if u <= epsilon_n and neighbor_channels:
         return neighbor_channels[int(rng.integers(len(neighbor_channels)))]
-    excluded = {own_action}
-    excluded.update(neighbor_channels)
+    excluded = {own_action, *neighbor_channels}
     pool = [c for c in range(n_channels) if c not in excluded]
     if not pool:
         pool = [c for c in range(n_channels) if c != own_action]

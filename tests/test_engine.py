@@ -567,6 +567,8 @@ MODE_MATRIX = {
         n_wn=40, fading=FadingKind.RAYLEIGH, grid_lookup=False, shared_draw=False
     ),
     "independent-draws": dict(shared_draw=False),
+    # Exact AWGN keeps n_wn detection columns, wider than the grid's 6.
+    "awgn-exact": dict(n_wn=12, grid_lookup=False),
     "no-super-decision": dict(use_super_decision=False),
     "global-qlearning": dict(global_cohort=True, policy=PolicyKind.QLEARNING),
     "isolated-node": dict(placement=ISOLATED_PLACEMENT),
@@ -595,6 +597,7 @@ def test_mode_matrix_invariants_and_pinned_hash(mode):
 
 
 PINNED_MODE_SHA256 = {
+    "awgn-exact": "65e3475e78743f2e6ac924f1417942bbc3e0f1ae767c895b4236626ae2e02210",
     "global-qlearning": "2a3a1e228579fca5cc6148d89e554d66f453027cc16da44739645138e854fd95",
     "independent-draws": "b78834ccdd27fc8260835e119117fd14d4da0b6ef9799eb36b662f56822579c0",
     "isolated-node": "4db5d8f09668889e79ef955971910f421b6c19df293b203fec5dfdd51041154b",
