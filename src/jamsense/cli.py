@@ -297,24 +297,6 @@ def _write_trace_csv(path: Path, record: RunRecord) -> None:
             )
 
 
-def _check_exportable(config: SimConfig) -> None:
-    """Both tables are written whatever the fading, so both must be defined."""
-    try:
-        config.check_tables(*FadingKind)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _make_out_dir(out_dir) -> Path:
-    """Create the output directory; a path that cannot be one is a ConfigError."""
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {out_dir}: cannot create directory ({exc.strerror})")
-    return out_dir
-
-
 @contextmanager
 def _removed_on_failure() -> Iterator[List[Path]]:
     """A list to record each output path in before writing it; if the block
@@ -332,9 +314,17 @@ def _removed_on_failure() -> Iterator[List[Path]]:
 
 
 def export_grid(config: SimConfig, out_dir) -> List[Path]:
-    """Write the AWGN table and the Rayleigh m=1 column as CSV files."""
-    _check_exportable(config)
-    out_dir = _make_out_dir(out_dir)
+    """Write the AWGN table and the Rayleigh m=1 column as CSV files, after
+    checking both and creating `out_dir` (a ConfigError each)."""
+    try:
+        config.check_tables(*FadingKind)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir}: cannot create directory ({exc.strerror})")
     with _removed_on_failure() as written:
         for kind in FadingKind:
             path = out_dir / f"grid_{kind.value}.csv"
@@ -382,14 +372,14 @@ def run_experiment(
 ) -> List[Path]:
     """Run every (label, config) curve and write all artifacts.
 
-    Both tables and the output directory are checked before any run; on
-    failure partway through, files written so far, and the one being
-    written, are removed.
+    `export_grid` writes the tables first, so a table or `--out` error stops
+    the call before any run.  On failure partway through, files written so
+    far, and the one being written, are removed.
     """
-    _check_exportable(curves[0][1])
-    out_dir = _make_out_dir(out_dir)
+    out_dir = Path(out_dir)
     results: List[Tuple[str, SimConfig, BatchResult]] = []
     with _removed_on_failure() as written:
+        written.extend(export_grid(curves[0][1], out_dir))
         for label, config in curves:
             batch = run_batch(config, workers=workers)
             results.append((label, config, batch))
@@ -408,7 +398,6 @@ def run_experiment(
         path = out_dir / "summary.txt"
         written.append(path)
         path.write_text("\n".join(_summary_lines(results)) + "\n")
-        written.extend(export_grid(curves[0][1], out_dir))
     return written
 
 
@@ -465,6 +454,8 @@ def _curves_for(args: argparse.Namespace) -> List[Tuple[str, SimConfig]]:
     if args.use_super_decision is not None:
         overrides["use_super_decision"] = args.use_super_decision == "on"
     if args.preset:
+        if args.policy is not None:
+            raise ConfigError("--policy applies only without --preset")
         base = PRESETS[args.preset][1]
         where = f"preset {args.preset}"
         return [

@@ -408,6 +408,16 @@ def snr_axis(start: float, stop: float, step: float) -> tuple:
     return tuple(start + i * step for i in range(n))
 
 
+def _fill_grid(snr_db: tuple, diversity: tuple, p_d) -> ProbabilityGrid:
+    """The grid of `p_d(linear snr, m)` at each SNR dB and diversity order."""
+    values = np.empty((len(snr_db), len(diversity)))
+    for i, s in enumerate(snr_db):
+        snr = 10.0 ** (s / 10.0)
+        for j, m in enumerate(diversity):
+            values[i, j] = p_d(snr, m)
+    return ProbabilityGrid(snr_db=snr_db, diversity=diversity, values=values)
+
+
 # build_awgn_grid's values at its default arguments, one row per SNR dB
 # 0..15 and one column per m = 1..6, recorded from p_d_awgn with numpy 2.4.6
 # and scipy 1.17.1.  tests/test_sensing.py checks them bit for bit.
@@ -465,12 +475,7 @@ def build_awgn_grid(
     diversity = tuple(range(1, m_max + 1))
     if (params, snr_db_start, snr_db_stop, snr_db_step, m_max) == _AWGN_DEFAULT_ARGS:
         return ProbabilityGrid(snr_db, diversity, _AWGN_DEFAULT_VALUES)
-    values = np.empty((len(snr_db), len(diversity)))
-    for i, s in enumerate(snr_db):
-        snr = 10.0 ** (s / 10.0)
-        for j, m in enumerate(diversity):
-            values[i, j] = p_d_awgn(params, snr, m)
-    return ProbabilityGrid(snr_db=snr_db, diversity=diversity, values=values)
+    return _fill_grid(snr_db, diversity, lambda snr, m: p_d_awgn(params, snr, m))
 
 
 def build_rayleigh_grid(
@@ -485,7 +490,4 @@ def build_rayleigh_grid(
     so the table has a single diversity column.
     """
     snr_db = snr_axis(snr_db_start, snr_db_stop, snr_db_step)
-    values = np.empty((len(snr_db), 1))
-    for i, s in enumerate(snr_db):
-        values[i, 0] = p_d_rayleigh_single(params, 10.0 ** (s / 10.0))
-    return ProbabilityGrid(snr_db=snr_db, diversity=(1,), values=values)
+    return _fill_grid(snr_db, (1,), lambda snr, m: p_d_rayleigh_single(params, snr))

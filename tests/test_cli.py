@@ -585,6 +585,8 @@ class TestMain:
                 [],
                 "grid_snr_max_db",
             ),
+            # A preset runs one curve per policy, so --policy would mislabel them.
+            (None, ["--preset", "jdr-awgn", "--policy", "uniform"], "--policy"),
             ({}, ["--workers", "0"], "--workers"),
             ({}, ["--workers", "-4"], "--workers"),
             (config_directory, [], "config.json"),
@@ -644,6 +646,15 @@ class TestMain:
         assert "--out" in err
         assert blocker.read_text() == "keep me\n"
         assert sorted(tmp_path.iterdir()) == [blocker]
+        assert batches == []
+        # A table the detection model cannot evaluate stops the call as early.
+        config = write_config(tmp_path, {"detection": {"threshold": 1e6}})
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "detection.threshold" in err
+        assert not out.exists()
         assert batches == []
 
     def test_config_validated_once_per_curve(self, tmp_path, monkeypatch):

@@ -271,6 +271,59 @@ def test_world_tables_match_direct_evaluation(fading, grid_lookup):
     assert record.cohorts.max() > max(config.grid_m_max, largest_fa_order)
 
 
+class _FixedDraws:
+    """A sensing stream whose every draw returns the given uniforms."""
+
+    def __init__(self, values):
+        self.values = np.array(values)
+
+    def random(self, size):
+        assert size == len(self.values)
+        return self.values
+
+
+@pytest.mark.parametrize("global_cohort, n_fb", [(False, 6), (True, 25)])
+def test_rayleigh_combine_matches_scalar_reference_bit_for_bit(global_cohort, n_fb):
+    # One step with every jammer active and one draw per node: a node reads
+    # OCCUPIED exactly when its draw is below its cohort's p, so draws of p
+    # and of the next float below p pin every p to the last bit.  The
+    # reference is README's: libm expm1 of the cohort's log-miss values,
+    # summed in cohort order.  The 40 nodes lie on a golden-angle spiral;
+    # cohorts of 1 to 5 keep p below about 0.86, since near 1 a last-bit
+    # change of the sum or of expm1 rounds away.
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    radii = [0.2 + 0.01 * i for i in range(40)]
+    nodes = tuple(
+        (r * math.cos(i * golden), r * math.sin(i * golden))
+        for i, r in enumerate(radii)
+    )
+    config = SimConfig(
+        n_wn=40, n_fb=n_fb, horizon=1, seed=11, fading=FadingKind.RAYLEIGH,
+        placement=Placement(nodes=nodes, range_km=0.35), shared_draw=False,
+        grid_lookup=False, global_cohort=global_cohort, replications=1,
+    )
+    n = config.n_wn
+    acts = _run_world(forced_world(config, active=True)).actions[0].tolist()
+    world = forced_world(config, active=True)
+    log_miss = world.log_miss.tolist()
+    p = []
+    for i in range(n):
+        if global_cohort:
+            cohort = [j for j in range(n) if acts[j] == acts[i]]
+        else:
+            neighbors = sorted(world.graph.neighbors[i])
+            cohort = [i] + [j for j in neighbors if acts[j] == acts[i]]
+        assert len(cohort) <= 5
+        p.append(-math.expm1(sum(log_miss[j] for j in cohort)))
+    below = [math.nextafter(x, 0.0) for x in p]
+    for draws, belief in ((p, Belief.VACANT), (below, Belief.OCCUPIED)):
+        world = forced_world(config, active=True)
+        world.sensing_rng = _FixedDraws(draws)
+        record = _run_world(world)
+        assert record.actions[0].tolist() == acts
+        assert np.all(record.observations[0] == belief)
+
+
 def test_run_batch_single_replication_equals_run():
     config = SimConfig(horizon=50, seed=41, replications=1)
     batch = run_batch(config)
