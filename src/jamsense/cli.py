@@ -356,7 +356,7 @@ def _summary_lines(
         lines.append(f"{prefix}tsr_defined={batch.transmissions_attempted}")
         # The resolved world: SNRs, neighbour edges, replication 0's chains.
         lines.append(f"{prefix}snr_db=" + ",".join(f"{s:.4f}" for s in batch.snr_db))
-        lines.append(f"{prefix}edges=" + ";".join(f"{i}-{j}" for i, j in batch.edges))
+        lines.append(f"{prefix}edges=" + ";".join(f"{i}-{j}" for i, j in batch.graph.edges()))
         lines.append(f"{prefix}chains_rep0=" + ";".join(
             f"{stay_idle:.6f},{stay_active:.6f},{int(active)}"
             for stay_idle, stay_active, active in batch.chain_params

@@ -115,9 +115,6 @@ class SimConfig:
     grid_m_max: int = 6
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         # Channel indices and cohort sizes are logged as int16.
         if not 1 <= self.n_wn <= _INT16_MAX:
             raise ValueError(f"n_wn must be in [1, {_INT16_MAX}], got {self.n_wn}")
@@ -599,10 +596,6 @@ class BatchResult:
     snr_db: Tuple[float, ...]
     graph: NeighborGraph
     chain_params: Tuple[Tuple[float, float, bool], ...]
-
-    @property
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        return self.graph.edges()
 
     @property
     def jdr_final_mean(self) -> float:

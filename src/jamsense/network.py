@@ -9,7 +9,6 @@ the transmission range (boundary inclusive).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -38,10 +37,10 @@ class Placement:
         object.__setattr__(
             self, "jammer", (float(self.jammer[0]), float(self.jammer[1]))
         )
-        if self.range_km <= 0:
+        if not self.range_km > 0:
             raise ValueError(f"range_km must be > 0, got {self.range_km}")
-        if self.d0_km <= 0:
-            raise ValueError(f"d0_km must be > 0, got {self.d0_km}")
+        if not 0 < self.d0_km < math.inf:
+            raise ValueError(f"d0_km must be finite and > 0, got {self.d0_km}")
 
     @property
     def n_nodes(self) -> int:
@@ -112,9 +111,9 @@ class NeighborGraph:
     Segment i of `fuse_index` starts at `fuse_starts[i]` and lists node i,
     then its neighbours in index order; `fuse_owner[k]` is the node whose
     segment holds entry k.  Per-node reductions over a node and its
-    neighbours are one `reduceat` or `bincount` over these arrays.  The
-    per-node tuples `neighbors` are built from them on first read, and
-    `edges()` on every call.  `build_neighbor_graph` builds the graph.
+    neighbours are one `reduceat` or `bincount` over these arrays, and
+    `edges()` reads them on every call.  `build_neighbor_graph` builds the
+    graph.
     """
 
     fuse_index: np.ndarray
@@ -127,7 +126,7 @@ class NeighborGraph:
 
     def __reduce__(self):
         # Unpickled arrays are writeable; rebuilding through the constructor
-        # makes them read-only again.  The cached tuples are not sent.
+        # makes them read-only again.
         return (NeighborGraph, (self.fuse_index, self.fuse_starts, self.fuse_owner))
 
     def __eq__(self, other: object) -> bool:
@@ -136,15 +135,6 @@ class NeighborGraph:
         # The owners follow from the segment starts.
         return np.array_equal(self.fuse_starts, other.fuse_starts) and np.array_equal(
             self.fuse_index, other.fuse_index
-        )
-
-    @functools.cached_property
-    def neighbors(self) -> Tuple[Tuple[int, ...], ...]:
-        """Each node's neighbours in index order."""
-        index = self.fuse_index.tolist()
-        bounds = self.fuse_starts.tolist() + [len(index)]
-        return tuple(
-            tuple(index[lo + 1 : hi]) for lo, hi in zip(bounds, bounds[1:])
         )
 
     def edges(self) -> Tuple[Tuple[int, int], ...]:

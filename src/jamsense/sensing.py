@@ -74,8 +74,8 @@ class DetectionParams:
             raise ValueError(
                 f"noncentrality must be positive, got {self.noncentrality}"
             )
-        if self.threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        if not 0 <= self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
         if self.n_samples % 2 != 0 or self.n_samples < 4:
             raise ValueError(
                 f"n_samples must be an even integer >= 4, got {self.n_samples}"

@@ -1,9 +1,10 @@
 """Structural per-step invariants recomputed from a full run record.
 
 Used by the engine tests and the acceptance property suite: every check
-reconstructs the quantity independently (from actions, the neighbor
-graph, and raw observations) and compares against what the engine
-recorded.  The jammer truth, the sensing verdicts, the policy's actions
+reconstructs the quantity independently (from actions, the neighbour rows
+of `oracles.neighbor_rows_loop`, and raw observations) and compares
+against what the engine recorded, so the engine's own graph is checked
+too.  The jammer truth, the sensing verdicts, the policy's actions
 and the transmit channels are replayed step by step from fresh
 substreams through the spec functions and the detection tables.
 """
@@ -25,7 +26,7 @@ from jamsense.fusion import (
     fuse_observations,
 )
 from jamsense.jammers import init_chains, step as step_chain
-from jamsense.network import NeighborGraph, build_neighbor_graph, snr_at_node
+from jamsense.network import snr_at_node
 from jamsense.policies import (
     PolicyKind,
     choose_action_pseudo_random,
@@ -41,15 +42,17 @@ from jamsense.sensing import (
     p_d_awgn,
     p_d_rayleigh_single,
 )
+from oracles import edges_loop, neighbor_rows_loop
 
 
 def check_structural_invariants(record: RunRecord) -> int:
     """Raise AssertionError on any violation; return the number of checks."""
     config = record.config
-    graph = build_neighbor_graph(config.resolved_placement())
+    neighbors = neighbor_rows_loop(config.resolved_placement())
+    assert record.graph.edges() == edges_loop(neighbors)
     n, n_fb = config.n_wn, config.n_fb
     vacant, occupied = int(Belief.VACANT), int(Belief.OCCUPIED)
-    checks = 0
+    checks = 1
 
     for t in range(len(record)):
         actions = record.actions[t]
@@ -65,7 +68,7 @@ def check_structural_invariants(record: RunRecord) -> int:
 
         # Decision vectors equal OR fusion of this step's observations.
         # Each node's inputs: itself, then its neighbours.
-        members = [(i, *graph.neighbors[i]) for i in range(n)]
+        members = [(i, *neighbors[i]) for i in range(n)]
         channels, verdicts = actions.tolist(), observations.tolist()
         own = [
             fuse_observations([channels[j] for j in m], [verdicts[j] for j in m], n_fb)
@@ -115,8 +118,8 @@ def check_structural_invariants(record: RunRecord) -> int:
     return (
         checks
         + _check_truth_replay(record)
-        + _check_sensing_replay(record, graph)
-        + _check_policy_replay(record, graph)
+        + _check_sensing_replay(record, neighbors)
+        + _check_policy_replay(record, neighbors)
         + _check_transmit_replay(record)
     )
 
@@ -168,7 +171,7 @@ def spec_detection(config: SimConfig) -> Tuple[np.ndarray, Callable[[int, int], 
     return snr_db, lambda i, m: p_d_rayleigh_single(params, snr[i])
 
 
-def _check_sensing_replay(record: RunRecord, graph: NeighborGraph) -> int:
+def _check_sensing_replay(record: RunRecord, neighbors: tuple) -> int:
     """Replay every cohort and verdict on a fresh sensing stream; return the checks.
 
     Each step draws `random(n_fb)` with a shared draw, where a node reads
@@ -197,9 +200,7 @@ def _check_sensing_replay(record: RunRecord, graph: NeighborGraph) -> int:
             if config.global_cohort:
                 cohort = [j for j in range(n) if actions[j] == channel]
             else:
-                cohort = [i] + [
-                    j for j in graph.neighbors[i] if actions[j] == channel
-                ]
+                cohort = [i] + [j for j in neighbors[i] if actions[j] == channel]
             m = len(cohort)
             assert record.cohorts[t, i] == m, (t, i)
             if not record.truth[t, channel]:
@@ -234,7 +235,7 @@ def _check_transmit_replay(record: RunRecord) -> int:
     return checks
 
 
-def _check_policy_replay(record: RunRecord, graph: NeighborGraph) -> int:
+def _check_policy_replay(record: RunRecord, neighbors: tuple) -> int:
     """Replay the policy functions on a fresh policy stream; return the checks.
 
     Every action the record holds must be what the policy spec returns for
@@ -258,14 +259,14 @@ def _check_policy_replay(record: RunRecord, graph: NeighborGraph) -> int:
             rewards = [1.0 if o == occupied else 0.0 for o in observations]
             for i in range(n):
                 update_q(q, table[i], actions[i], rewards[i])
-                for j in graph.neighbors[i]:
+                for j in neighbors[i]:
                     update_q(q, table[i], actions[j], rewards[j])
         for i in range(n):
             if config.policy is PolicyKind.PSEUDO_RANDOM:
                 choice = choose_action_pseudo_random(
                     actions[i],
                     observations[i],
-                    [actions[j] for j in graph.neighbors[i]],
+                    [actions[j] for j in neighbors[i]],
                     n_fb,
                     rng,
                     config.epsilon_n,

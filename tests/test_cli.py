@@ -659,13 +659,13 @@ class TestMain:
 
     def test_config_validated_once_per_curve(self, tmp_path, monkeypatch):
         calls = []
-        validate = SimConfig.validate
+        post_init = SimConfig.__post_init__
 
         def counted(config):
             calls.append(config)
-            validate(config)
+            post_init(config)
 
-        monkeypatch.setattr(SimConfig, "validate", counted)
+        monkeypatch.setattr(SimConfig, "__post_init__", counted)
         argv = ["run", "--preset", "tsr-super", "--replications", "3",
                 "--horizon", "5", "--trace", "--out", str(tmp_path / "out")]
         assert main(argv) == 0
@@ -732,8 +732,7 @@ def test_preset_definitions_consistent():
         for label, deltas in _POLICY_CURVES:
             merged = dict(base)
             merged.update(deltas)
-            config = config_from_dict(merged, where=f"preset {name}")
-            config.validate()
+            config_from_dict(merged, where=f"preset {name}")
     assert PRESETS["jdr-awgn-20ch"][1]["n_fb"] == 20
     assert PRESETS["tsr-local"][1]["use_super_decision"] is False
     assert PRESETS["tsr-super"][1]["use_super_decision"] is True

@@ -41,7 +41,7 @@ from jamsense.sensing import (
 )
 
 from invariants import check_structural_invariants, spec_detection
-from oracles import edges_loop
+from oracles import edges_loop, neighbor_rows_loop
 
 
 def forced_world(config: SimConfig, active: bool) -> _World:
@@ -306,12 +306,14 @@ def test_rayleigh_combine_matches_scalar_reference_bit_for_bit(global_cohort, n_
     acts = _run_world(forced_world(config, active=True)).actions[0].tolist()
     world = forced_world(config, active=True)
     log_miss = world.log_miss.tolist()
+    index = world.graph.fuse_index.tolist()
     p = []
     for i in range(n):
         if global_cohort:
             cohort = [j for j in range(n) if acts[j] == acts[i]]
         else:
-            neighbors = sorted(world.graph.neighbors[i])
+            lo, hi = world.segments[i]
+            neighbors = sorted(index[lo + 1 : hi])
             cohort = [i] + [j for j in neighbors if acts[j] == acts[i]]
         assert len(cohort) <= 5
         p.append(-math.expm1(sum(log_miss[j] for j in cohort)))
@@ -370,7 +372,7 @@ def test_run_batch_workers_equivalence():
     assert np.array_equal(seq.tsr_final, par.tsr_final)
     # Replication 0's graph comes back from the worker that ran it.
     assert par.graph == seq.graph
-    assert par.edges == seq.edges
+    assert par.graph.edges() == seq.graph.edges()
     assert not par.graph.fuse_index.flags.writeable
 
 
@@ -378,12 +380,9 @@ def test_runs_keep_the_graph_as_its_index_arrays():
     config = SimConfig(n_wn=400, horizon=2, replications=1)
     batch = run_batch(config)
     record = run(config)
-    # Nothing in a run reads the per-node neighbour tuples.
-    assert "neighbors" not in vars(batch.graph)
-    assert "neighbors" not in vars(record.graph)
     assert batch.graph == record.graph
-    assert record.edges == edges_loop(record.graph.neighbors)
-    assert batch.edges == edges_loop(batch.graph.neighbors)
+    rows = neighbor_rows_loop(config.resolved_placement())
+    assert record.edges == edges_loop(rows)
 
 
 def test_run_batch_memory_at_2000_nodes():
@@ -508,21 +507,21 @@ def test_replace_revalidates():
 
 def test_config_validation_errors():
     with pytest.raises(ValueError):
-        SimConfig(n_wn=0).validate()
+        SimConfig(n_wn=0)
     with pytest.raises(ValueError):
-        SimConfig(n_fb=0).validate()
+        SimConfig(n_fb=0)
     with pytest.raises(ValueError):
-        SimConfig(horizon=0).validate()
+        SimConfig(horizon=0)
     with pytest.raises(ValueError):
-        SimConfig(epsilon_n=1.5).validate()
+        SimConfig(epsilon_n=1.5)
     with pytest.raises(ValueError):
-        SimConfig(jammer_bounds=(0.9, 0.8)).validate()
+        SimConfig(jammer_bounds=(0.9, 0.8))
     with pytest.raises(ValueError):
-        SimConfig(replications=0).validate()
+        SimConfig(replications=0)
     from jamsense.network import Placement
 
     with pytest.raises(ValueError):
-        SimConfig(placement=Placement(nodes=((0, 0),))).validate()
+        SimConfig(placement=Placement(nodes=((0, 0),)))
 
 
 @pytest.mark.parametrize(
@@ -550,16 +549,22 @@ def test_config_validation_errors():
         (dict(grid_snr_max_db=96.9, grid_snr_step_db=0.6), "grid_snr_max_db"),
         # inf - inf: a NaN point count is refused, not passed to int().
         (dict(grid_snr_min_db=math.inf, grid_snr_max_db=math.inf), "detection grid"),
+        # Non-finite values, refused where their part is built: a callable
+        # builds the arguments inside the check.
+        (lambda: dict(placement=Placement(((0.3, 0.0),), range_km=math.nan)), "range_km"),
+        (lambda: dict(placement=Placement(((0.3, 0.0),), d0_km=math.nan)), "d0_km"),
+        (lambda: dict(detection=DetectionParams(threshold=math.nan)), "threshold"),
+        (lambda: dict(detection=DetectionParams(threshold=math.inf)), "threshold"),
     ],
 )
 def test_config_validation_names_the_field(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        SimConfig(**kwargs).validate()
+        SimConfig(**(kwargs() if callable(kwargs) else kwargs))
 
 
 def test_int16_log_bounds_are_inclusive():
-    SimConfig(n_fb=32767).validate()
-    SimConfig(n_wn=32767).validate()
+    SimConfig(n_fb=32767)
+    SimConfig(n_wn=32767)
 
 
 def test_chain_count_follows_band_size():

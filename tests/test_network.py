@@ -110,7 +110,7 @@ class TestNeighborGraph:
     def test_boundary_distance_counts_as_neighbor(self):
         placement = Placement(nodes=((0.0, 0.0), (0.45, 0.0)), range_km=0.45)
         graph = build_neighbor_graph(placement)
-        assert graph.neighbors == ((1,), (0,))
+        assert graph.edges() == ((0, 1),)
 
     def test_tiny_range_gives_empty_graph(self):
         placement = Placement(nodes=((0.0, 0.0), (0.2, 0.0)), range_km=1e-9)
@@ -140,7 +140,8 @@ class TestNeighborGraph:
                     expected.add((i, j))
         assert set(graph.edges()) == expected
         # Ring structure: inner nodes see 4 neighbors, outer nodes 2.
-        assert [len(graph.neighbors[i]) for i in range(10)] == [4] * 5 + [2] * 5
+        degrees = np.bincount(graph.fuse_owner) - 1
+        assert degrees.tolist() == [4] * 5 + [2] * 5
 
     def test_symmetric_irreflexive_fuzzed(self):
         rng = np.random.default_rng(31)
@@ -149,10 +150,13 @@ class TestNeighborGraph:
             nodes = tuple((float(x), float(y)) for x, y in rng.uniform(-1, 1, (n, 2)))
             placement = Placement(nodes=nodes, range_km=float(rng.uniform(0.05, 1.5)))
             graph = build_neighbor_graph(placement)
-            for i in range(n):
-                assert i not in graph.neighbors[i]
-                for j in graph.neighbors[i]:
-                    assert i in graph.neighbors[j]
+            # Each segment lists its owner exactly once, and every other
+            # (owner, index) pair appears reversed as well.
+            pairs = list(zip(graph.fuse_owner.tolist(), graph.fuse_index.tolist()))
+            assert len(set(pairs)) == len(pairs)
+            links = [(i, j) for i, j in pairs if i != j]
+            assert len(links) == len(pairs) - n
+            assert set(links) == {(j, i) for i, j in links}
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(lattice_placements())
@@ -171,15 +175,7 @@ class TestNeighborGraph:
             assert built.dtype == np.intp, name
             assert np.array_equal(built, values), name
             assert not built.flags.writeable, name
-        assert graph.neighbors == rows
         assert graph.edges() == edges_loop(rows)
-
-    def test_neighbor_tuples_built_on_first_read(self):
-        graph = build_neighbor_graph(default_placement(10))
-        assert "neighbors" not in vars(graph)
-        assert graph.edges() == edges_loop(neighbor_rows_loop(default_placement(10)))
-        assert "neighbors" not in vars(graph)
-        assert graph.neighbors is graph.neighbors
 
 
 class TestPlacement:
@@ -203,5 +199,11 @@ class TestPlacement:
             Placement(nodes=((0, 0),), range_km=0.0)
         with pytest.raises(ValueError):
             Placement(nodes=((0, 0),), d0_km=-1.0)
+        # NaN fails every comparison, so each check is written to refuse it.
+        with pytest.raises(ValueError, match="range_km"):
+            Placement(nodes=((0, 0),), range_km=math.nan)
+        for d0_km in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="d0_km"):
+                Placement(nodes=((0, 0),), d0_km=d0_km)
         with pytest.raises(ValueError):
             default_placement(0)

@@ -467,6 +467,9 @@ class TestDetectionParams:
             DetectionParams(noncentrality=-1.0)
         with pytest.raises(ValueError):
             DetectionParams(threshold=-0.1)
+        for threshold in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="threshold"):
+                DetectionParams(threshold=threshold)
         with pytest.raises(ValueError):
             DetectionParams(n_samples=7)
         with pytest.raises(ValueError):
