@@ -17,30 +17,21 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
-import math
 import sys
-import typing
-from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import MISSING
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .engine import BatchResult, RunRecord, SimConfig, run, run_batch
-from .network import Placement
-from .policies import PolicyKind, QParams
-from .sensing import DetectionParams, FadingKind, FalseAlarmTable
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or invalid scenario configs."""
+from .engine import BatchResult, ConfigError, RunRecord, SimConfig, run, run_batch
+from .engine import _HINTS, _brief, _build, _echo, _object  # the config schema
+from .policies import PolicyKind
+from .sensing import FadingKind
 
 
 # Every preset runs these curves: one per policy.
@@ -75,116 +66,9 @@ PRESETS: Dict[str, Tuple[str, Dict]] = {
 # Config <-> dict
 
 
-# The JSON schema is the dataclass fields themselves.
-_HINTS = {
-    cls: typing.get_type_hints(cls)
-    for cls in (SimConfig, QParams, DetectionParams, FalseAlarmTable, Placement)
-}
-# Leaf type -> (what the JSON value must be, test).  bool is a subclass of
-# int in Python, so the tests compare exact types.
-_LEAVES = {
-    bool: ("true or false", lambda v: type(v) is bool),
-    int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
-}
-
-
-def _brief(value) -> str:
-    """`repr(value)` cut to 40 characters; the error's path names the field."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
-def _object(value, where: str, keys=None) -> Dict:
-    """`value` as a JSON object whose keys all lie in `keys` (if given)."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object, got {_brief(value)}")
-    for key in value:
-        if keys is not None and key not in keys:
-            raise ConfigError(f"unknown key {_brief(key)} in {where}")
-    return value
-
-
-def _cast(tp, value, where: str):
-    """Convert the JSON `value` to the field type `tp`; errors name `where`."""
-    if dataclasses.is_dataclass(tp):
-        return _build(tp, value, where)
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is Union:  # Optional[X]: null selects the None default
-        return None if value is None else _cast(args[0], value, where)
-    if origin is tuple:  # Tuple[X, ...] or fixed-length Tuple[X, Y]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where}: expected a list, got {_brief(value)}")
-        types = args[:1] * len(value) if args[-1] is Ellipsis else args
-        if len(types) != len(value):
-            raise ConfigError(
-                f"{where}: expected {len(types)} entries, got {_brief(value)}"
-            )
-        return tuple(
-            _cast(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(types, value))
-        )
-    if origin is dict:  # Dict[int, float]: JSON object keys are strings
-        out = {}
-        for key, v in _object(value, where).items():
-            try:
-                order = int(key)
-            except (TypeError, ValueError):
-                order = None
-            if str(order) != str(key):  # "01", "1_0", " 1" would alias "1"
-                raise ConfigError(f"{where}: key {_brief(key)} is not an integer")
-            out[order] = _cast(args[1], v, f"{where}.{key}")
-        return out
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        try:
-            return tp(value)
-        except ValueError:
-            raise ConfigError(
-                f"{where}: {_brief(value)} is not one of {[k.value for k in tp]}"
-            )
-    expected, ok = _LEAVES[tp]
-    try:
-        if ok(value):
-            return tp(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise ConfigError(f"{where}: expected {expected}, got {_brief(value)}")
-
-
-def _build(cls, data, where: str):
-    """Instantiate the config dataclass `cls` from a JSON object."""
-    hints = _HINTS[cls]
-    kwargs = {
-        key: _cast(hints[key], value, f"{where}.{key}")
-        for key, value in _object(data, where, hints).items()
-    }
-    for f in dataclasses.fields(cls):
-        required = f.default is MISSING and f.default_factory is MISSING
-        if required and f.name not in kwargs:
-            raise ConfigError(f"{where}: '{f.name}' is required")
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
-
-
 def config_from_dict(data: Dict, where: str = "config") -> SimConfig:
     """Build and validate a SimConfig from a plain dict (strict keys)."""
     return _build(SimConfig, data, where)
-
-
-def _echo(value):
-    """JSON form of a config value; `_cast` reads it back unchanged."""
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: _echo(getattr(value, f.name)) for f in dataclasses.fields(value)
-        }
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return [_echo(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): _echo(v) for k, v in sorted(value.items())}
-    return value
 
 
 def config_to_dict(config: SimConfig) -> Dict:

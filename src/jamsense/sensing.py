@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import numbers
 import sys
 import types
 from dataclasses import dataclass, field
@@ -76,7 +77,8 @@ class DetectionParams:
             )
         if not 0 <= self.threshold < math.inf:
             raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
-        if self.n_samples % 2 != 0 or self.n_samples < 4:
+        n = self.n_samples
+        if not isinstance(n, numbers.Integral) or n % 2 != 0 or n < 4:
             raise ValueError(
                 f"n_samples must be an even integer >= 4, got {self.n_samples}"
             )
@@ -119,7 +121,7 @@ class FalseAlarmTable:
                 if not (isinstance(m, int) and m >= 1):
                     raise ValueError(f"diversity order {m!r} must be an int >= 1")
                 if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"p_fa={p} for m={m} outside [0, 1]")
+                    raise ValueError(f"{kind}: p_fa={p} for m={m} outside [0, 1]")
 
     def __hash__(self) -> int:
         # A mappingproxy is unhashable; equal tables have equal sorted items.

@@ -6,6 +6,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -235,6 +236,66 @@ def test_config_from_dict_fuzz(mutations):
     except ConfigError:
         return
     run_batch(dataclasses.replace(config, replications=1, horizon=5), workers=1)
+
+
+def _replaced(obj, path, value):
+    """`obj` with the leaf at the echo `path` set to `value`, rebuilt through
+    the Python constructors of every part on the way down."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.replace(obj, **{key: _replaced(getattr(obj, key), rest, value)})
+    if isinstance(obj, tuple):
+        return obj[:key] + (_replaced(obj[key], rest, value),) + obj[key + 1 :]
+    return {**obj, int(key): _replaced(obj[int(key)], rest, value)}
+
+
+def _wrong_values(leaf, path):
+    """(value, whether JSON refuses it too) for each wrong kind of `leaf`."""
+    if type(leaf) is float:
+        return [(math.nan, True), (math.inf, True), (-math.inf, True)]
+    if type(leaf) is int:
+        return [(1.5, True), (True, True)]
+    if type(leaf) is bool:
+        return [(1, True)]
+    if type(leaf) is str:  # an enum: JSON's own form is the bare value
+        return [(leaf, False), (leaf.upper(), True)]
+    # A pair.  Placement converts its coordinates to float pairs itself.
+    return [] if path[0] == "placement" else [(leaf, False)]
+
+
+def _dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def test_every_leaf_refuses_a_wrong_kind_at_both_doors():
+    """Each leaf of the default echo, given a value of the wrong kind, is
+    refused by config_from_dict naming its path and by the Python
+    constructors naming its field."""
+    base = SimConfig(placement=SimConfig().resolved_placement())
+    checked = 0
+    for path in _key_paths(_DEFAULT_ECHO):
+        leaf = _DEFAULT_ECHO
+        for key in path:
+            leaf = leaf[key]
+        if isinstance(leaf, dict) or (isinstance(leaf, list) and isinstance(leaf[0], list)):
+            continue  # a part, or the node list: its leaves are checked
+        field = [k for k in path if isinstance(k, str) and not k.isdigit()][-1]
+        for value, json_refuses in _wrong_values(leaf, path):
+            if json_refuses:
+                data = copy.deepcopy(_DEFAULT_ECHO)
+                parent = data
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+                with pytest.raises(ConfigError) as exc:
+                    config_from_dict(data)
+                assert str(exc.value).startswith(f"config.{_dotted(path)}:"), path
+            with pytest.raises(ValueError, match=field) as exc:
+                SimConfig(**{path[0]: _replaced(getattr(base, path[0]), path[1:], value)})
+            checked += 1
+    assert checked > 100
 
 
 def test_config_dict_round_trip():

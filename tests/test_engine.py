@@ -150,6 +150,12 @@ def test_replication_seeds_differ_and_derive_from_master():
     assert not np.array_equal(r0.actions, r1.actions)
 
 
+@pytest.mark.parametrize("replication", [1.5, True, -1, 2**64])
+def test_run_refuses_a_replication_outside_the_seed_range(replication):
+    with pytest.raises(ValueError, match="replication"):
+        run(SimConfig(horizon=5, replications=1), replication)
+
+
 def test_detection_counts_match_brute_force():
     record = run(SimConfig(horizon=60, seed=19, replications=1))
     detected, total = detection_counts(record)
@@ -547,19 +553,62 @@ def test_config_validation_errors():
         (dict(grid_m_max=10**9), "detection grid"),
         # The axis' last point is 97.2 dB (162 steps of 0.6), not 96.9 dB.
         (dict(grid_snr_max_db=96.9, grid_snr_step_db=0.6), "grid_snr_max_db"),
-        # inf - inf: a NaN point count is refused, not passed to int().
-        (dict(grid_snr_min_db=math.inf, grid_snr_max_db=math.inf), "detection grid"),
+        # A non-finite grid bound is refused by name, before inf - inf
+        # could make a NaN point count.
+        (dict(grid_snr_min_db=math.inf, grid_snr_max_db=math.inf), "grid_snr_min_db"),
         # Non-finite values, refused where their part is built: a callable
         # builds the arguments inside the check.
         (lambda: dict(placement=Placement(((0.3, 0.0),), range_km=math.nan)), "range_km"),
         (lambda: dict(placement=Placement(((0.3, 0.0),), d0_km=math.nan)), "d0_km"),
         (lambda: dict(detection=DetectionParams(threshold=math.nan)), "threshold"),
         (lambda: dict(detection=DetectionParams(threshold=math.inf)), "threshold"),
+        # Values JSON would refuse, refused by the Python constructor too,
+        # naming the field's path.
+        (dict(fading="awgn"), "fading"),
+        (dict(policy="uniform"), "policy"),
+        (dict(seed=1.5), "seed"),
+        (dict(n_fb=10.5), "n_fb"),
+        (dict(grid_m_max=6.5), "grid_m_max"),
+        (dict(horizon=True), "horizon"),
+        (dict(jammer_bounds=[0.85, 0.98]), "jammer_bounds"),
+        (dict(grid_snr_step_db=math.nan), "grid_snr_step_db"),
+        (dict(detection=DetectionParams(sigma2=math.inf)), "detection.sigma2"),
+        (
+            dict(detection=DetectionParams(noncentrality=math.inf)),
+            "detection.noncentrality",
+        ),
+        (
+            dict(n_wn=1, placement=Placement(((0.3, 0.0),), path_loss_exponent=math.nan)),
+            "placement.path_loss_exponent",
+        ),
+        (
+            dict(n_wn=1, placement=Placement(((0.3, 0.0),), jammer_power_db=-math.inf)),
+            "placement.jammer_power_db",
+        ),
+        (
+            dict(n_wn=1, placement=Placement(((math.nan, 0.0),))),
+            r"placement\.nodes\[0\]\[0\]",
+        ),
+        (dict(false_alarm=FalseAlarmTable(awgn={True: 0.1})), "false_alarm.awgn"),
     ],
 )
 def test_config_validation_names_the_field(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SimConfig(**(kwargs() if callable(kwargs) else kwargs))
+
+
+def test_numpy_scalars_run_as_python_values():
+    def config(eps, n, p):
+        return SimConfig(
+            fading=FadingKind.RAYLEIGH, horizon=60, seed=7, epsilon_n=eps, n_wn=n,
+            false_alarm=FalseAlarmTable(rayleigh={1: p}),
+        )
+
+    numpy_config = config(np.float64(0.2), np.int64(4), np.float64(0.4))
+    # Kept as read back from JSON, so the config echo can be written.
+    assert type(numpy_config.n_wn) is int and type(numpy_config.epsilon_n) is float
+    python_run = run(config(0.2, 4, 0.4))
+    assert record_sha256(run(numpy_config)) == record_sha256(python_run)
 
 
 def test_int16_log_bounds_are_inclusive():

@@ -474,6 +474,9 @@ class TestDetectionParams:
             DetectionParams(n_samples=7)
         with pytest.raises(ValueError):
             DetectionParams(n_samples=2)
+        # A float count would reach range() in the Rayleigh closed form.
+        with pytest.raises(ValueError, match="n_samples"):
+            DetectionParams(n_samples=10.0)
 
 
 def test_probability_outputs_in_unit_interval_fuzzed():
