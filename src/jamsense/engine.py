@@ -770,6 +770,7 @@ def run_batch(config: SimConfig, workers: int = 1) -> BatchResult:
     replication order.  At most `workers` processes run, and no more than
     there are replications or CPUs; with one, the batch runs in-process.
     """
+    workers = _cast(int, workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     reps = config.replications

@@ -31,12 +31,6 @@ class Placement:
     jammer_power_db: float = 15.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "nodes", tuple((float(x), float(y)) for x, y in self.nodes)
-        )
-        object.__setattr__(
-            self, "jammer", (float(self.jammer[0]), float(self.jammer[1]))
-        )
         if not self.range_km > 0:
             raise ValueError(f"range_km must be > 0, got {self.range_km}")
         if not 0 < self.d0_km < math.inf:

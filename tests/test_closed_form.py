@@ -10,6 +10,7 @@ import pytest
 
 from jamsense.engine import (
     JAMMED,
+    SUCCESSFUL,
     SimConfig,
     _World,
     detection_counts,
@@ -24,6 +25,7 @@ from jamsense.sensing import (
     DetectionParams,
     FadingKind,
     FalseAlarmTable,
+    false_alarm_probability,
     p_d_awgn,
     p_d_rayleigh_single,
 )
@@ -236,3 +238,107 @@ def test_neutral_sticky_pseudo_random_pairs_uniform(shared_draw):
         assert t < -4.0, t
     else:
         assert abs(t) < 4.0, t
+
+
+PAIR_N_FB = 3
+PAIR_REPLICATIONS = 60
+PAIR_BOUND = 4.0 / math.sqrt(PAIR_REPLICATIONS)
+
+
+def _pair_step_moments(jammed, p_d, p_fa, shared_draw):
+    """Exact per-step (mean, variance) of the summed successful and of the
+    summed jammed counts of two connected uniform nodes, given the step's
+    truth row.
+
+    `p_d[m]` and `p_fa[m]` are a node's chances of reading a jammed and a
+    vacant channel OCCUPIED at cohort size m.  Both nodes fuse both pairs,
+    so they share one decision row, whose VACANT channels are the
+    candidates; each node picks among them uniformly, with its own draw.
+    """
+    n_fb = len(jammed)
+    occupied = lambda a, m: p_d[m] if jammed[a] else p_fa[m]
+    law = {}  # (successful, jammed) -> probability
+    for a0, a1 in itertools.product(range(n_fb), repeat=2):
+        if a0 != a1:
+            # Each node senses alone (m = 1), with its own verdict.
+            q0, q1 = occupied(a0, 1), occupied(a1, 1)
+            rows = [
+                ((q0 if o0 else 1.0 - q0) * (q1 if o1 else 1.0 - q1),
+                 [a for a, o in ((a0, o0), (a1, o1)) if not o])
+                for o0, o1 in itertools.product((False, True), repeat=2)
+            ]
+        else:
+            # One cohort of two.  A shared draw gives both one verdict;
+            # with per-node draws OCCUPIED wins the fusion, so the channel
+            # stays VACANT only if both nodes read it so.
+            q = occupied(a0, 2)
+            vacant = 1.0 - q if shared_draw else (1.0 - q) ** 2
+            rows = [(vacant, [a0]), (1.0 - vacant, [])]
+        for weight, candidates in rows:
+            weight /= n_fb * n_fb
+            if not candidates:  # both nodes skip
+                law[0, 0] = law.get((0, 0), 0.0) + weight
+                continue
+            pick = 1.0 / len(candidates)
+            for c0, c1 in itertools.product(candidates, repeat=2):
+                hits = int(jammed[c0]) + int(jammed[c1])
+                key = (2 - hits, hits)
+                law[key] = law.get(key, 0.0) + weight * pick * pick
+    moments = []
+    for k in range(2):
+        mean = sum(w * key[k] for key, w in law.items())
+        moments.append((mean, sum(w * key[k] ** 2 for key, w in law.items()) - mean**2))
+    return moments
+
+
+@pytest.mark.parametrize("shared_draw", [False, True], ids=["per-node", "shared"])
+@pytest.mark.parametrize("fading", list(FadingKind), ids=lambda kind: kind.value)
+def test_two_uniform_nodes_match_exact_transmission_counts(fading, shared_draw):
+    # Two neighbours 0.4 km apart, each 0.36 km from the jammer (-4.7 dB),
+    # so both read the table's 0 dB row.  Under the uniform policy the
+    # action pair is uniform over the n_fb^2 pairs at every step,
+    # independently of the past, so given the truth the steps are
+    # independent and their exact moments add up over a run.  Observation
+    # fusion (OCCUPIED wins), the shared decision row and the uniform
+    # transmit choice all enter these moments.
+    config = SimConfig(
+        n_wn=2,
+        n_fb=PAIR_N_FB,
+        policy=PolicyKind.UNIFORM,
+        fading=fading,
+        shared_draw=shared_draw,
+        placement=Placement(nodes=((-0.2, 0.3), (0.2, 0.3))),
+        horizon=HORIZON,
+        replications=PAIR_REPLICATIONS,
+        seed=SEED,
+    )
+    grid = config.grid(fading)
+    if fading is FadingKind.AWGN:
+        p_d = {m: grid.lookup(0.0, m) for m in (1, 2)}
+    else:
+        # A Rayleigh cohort misses only if both members miss.
+        p_d = {1: grid.lookup(0.0, 1)}
+        p_d[2] = -math.expm1(2.0 * math.log1p(-p_d[1]))
+    p_fa = {m: false_alarm_probability(config.false_alarm, fading, m) for m in (1, 2)}
+    moments = {}  # per distinct truth row
+    z = {"successful": [], "jammed": []}
+    for r in range(PAIR_REPLICATIONS):
+        record = run(config, replication=r)
+        assert record.edges == ((0, 1),)
+        assert max(record.snr_db) < -0.5
+        # A 2-clique's super rows are its decision rows.
+        plain = run(dataclasses.replace(config, use_super_decision=False), r)
+        assert np.array_equal(plain.transmits, record.transmits)
+        assert np.array_equal(plain.outcomes, record.outcomes)
+        mean, var = np.zeros(2), np.zeros(2)
+        for row in record.truth:
+            key = tuple(row.tolist())
+            if key not in moments:
+                moments[key] = _pair_step_moments(key, p_d, p_fa, shared_draw)
+            mean += [mu for mu, _ in moments[key]]
+            var += [v for _, v in moments[key]]
+        observed = [(record.outcomes == SUCCESSFUL).sum(), (record.outcomes == JAMMED).sum()]
+        for scores, count, mu, v in zip(z.values(), observed, mean, var):
+            scores.append((count - mu) / math.sqrt(v))
+    mean_z = {name: float(np.mean(scores)) for name, scores in z.items()}
+    assert all(abs(m) < PAIR_BOUND for m in mean_z.values()), (mean_z, PAIR_BOUND)

@@ -428,6 +428,7 @@ def test_run_batch_workers_equivalence_custom_false_alarms():
         (5, 4, 1, None),  # one process: the serial path, no pool
         (5, 4, None, None),  # unknown CPU count counts as one
         (1, 4, 8, None),
+        (5, np.int64(2), 8, 2),  # a numpy integer counts as an integer
     ],
 )
 def test_run_batch_pool_size(monkeypatch, replications, workers, cpus, pool_size):
@@ -461,10 +462,18 @@ def test_run_batch_pool_size(monkeypatch, replications, workers, cpus, pool_size
     assert np.array_equal(batch.tsr_final, serial.tsr_final)
 
 
-@pytest.mark.parametrize("workers", [0, -4])
-def test_run_batch_rejects_fewer_than_one_worker(workers):
+@pytest.mark.parametrize("workers", [0, -4, 1.5, "2", True])
+def test_run_batch_rejects_fewer_than_one_worker(monkeypatch, workers):
+    # Refused as run refuses a replication, before any pool is made.
+    import multiprocessing
+    import os
+
+    pools = []
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *a, **k: pools.append(a))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     with pytest.raises(ValueError, match="workers"):
-        run_batch(SimConfig(horizon=5, replications=1), workers=workers)
+        run_batch(SimConfig(horizon=5, replications=2), workers=workers)
+    assert pools == []
 
 
 def test_step_view_and_len():
@@ -590,6 +599,14 @@ def test_config_validation_errors():
             r"placement\.nodes\[0\]\[0\]",
         ),
         (dict(false_alarm=FalseAlarmTable(awgn={True: 0.1})), "false_alarm.awgn"),
+        # Coordinates are typed by the schema alone: a scalar is not a pair,
+        # and a list is not the tuple its echo reads back as.
+        (
+            lambda: dict(n_wn=1, placement=Placement(((0.3, 0.0),), jammer=0.5)),
+            r"placement\.jammer",
+        ),
+        (lambda: dict(n_wn=1, placement=Placement((0.3, 0.0))), r"placement\.nodes\[0\]"),
+        (lambda: dict(n_wn=1, placement=Placement([[0.3, 0.0]])), "placement"),
     ],
 )
 def test_config_validation_names_the_field(kwargs, message):
@@ -609,6 +626,22 @@ def test_numpy_scalars_run_as_python_values():
     assert type(numpy_config.n_wn) is int and type(numpy_config.epsilon_n) is float
     python_run = run(config(0.2, 4, 0.4))
     assert record_sha256(run(numpy_config)) == record_sha256(python_run)
+
+
+def test_int_and_numpy_coordinates_are_stored_as_floats():
+    def config(nodes, jammer):
+        return SimConfig(
+            n_wn=2, horizon=40, seed=8, placement=Placement(nodes, jammer=jammer)
+        )
+
+    numpy_config = config(
+        ((0, 1), (np.float64(0.3), np.float32(0.5))), (np.int64(0), 0)
+    )
+    placement = numpy_config.placement
+    assert all(type(v) is float for pair in placement.nodes for v in pair)
+    assert all(type(v) is float for v in placement.jammer)
+    float_run = run(config(((0.0, 1.0), (0.3, float(np.float32(0.5)))), (0.0, 0.0)))
+    assert record_sha256(run(numpy_config)) == record_sha256(float_run)
 
 
 def test_int16_log_bounds_are_inclusive():
