@@ -28,9 +28,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .engine import BatchResult, ConfigError, RunRecord, SimConfig, run, run_batch
-from .engine import _HINTS, _brief, _build, _echo, _object  # the config schema
+from .engine import BatchResult, RunRecord, SimConfig, run, run_batch
 from .policies import PolicyKind
+from .schema import ConfigError, _brief, _build, _echo, _hints, _object
 from .sensing import FadingKind
 
 
@@ -79,12 +79,10 @@ def config_to_dict(config: SimConfig) -> Dict:
 
 
 def _no_duplicates(pairs):
-    seen = set()
     out = {}
     for key, value in pairs:
-        if key in seen:
+        if key in out:
             raise ConfigError(f"duplicate key {_brief(key)}")
-        seen.add(key)
         out[key] = value
     return out
 
@@ -120,19 +118,12 @@ _FLOAT_FMT = "{:.12g}"
 
 
 def _write_metrics_csv(path: Path, batch: BatchResult) -> None:
+    columns = (batch.jdr_mean, batch.jdr_std, batch.tsr_mean, batch.tsr_std)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "jdr_mean", "jdr_std", "tsr_mean", "tsr_std"])
-        for t in range(len(batch.jdr_mean)):
-            writer.writerow(
-                [
-                    t,
-                    _FLOAT_FMT.format(batch.jdr_mean[t]),
-                    _FLOAT_FMT.format(batch.jdr_std[t]),
-                    _FLOAT_FMT.format(batch.tsr_mean[t]),
-                    _FLOAT_FMT.format(batch.tsr_std[t]),
-                ]
-            )
+        for t, row in enumerate(zip(*columns)):
+            writer.writerow([t] + [_FLOAT_FMT.format(v) for v in row])
 
 
 # Text of each logged code, indexed by the code.  Beliefs (UNKNOWN, VACANT,
@@ -200,10 +191,7 @@ def _removed_on_failure() -> Iterator[List[Path]]:
 def export_grid(config: SimConfig, out_dir) -> List[Path]:
     """Write the AWGN table and the Rayleigh m=1 column as CSV files, after
     checking both and creating `out_dir` (a ConfigError each)."""
-    try:
-        config.check_tables(*FadingKind)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    config.check_tables(*FadingKind)
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -311,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", type=Path, required=True, help="output directory")
     # Config-key flags: the dest is the key and the type comes from SimConfig.
     for key in _FLAG_KEYS:
-        tp = _HINTS[SimConfig][key]
+        tp = _hints(SimConfig)[key]
         typed = (
             {"choices": [k.value for k in tp]} if issubclass(tp, Enum) else {"type": tp}
         )

@@ -27,15 +27,10 @@ same order as in a step-by-step evaluation.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import numbers
 import os
-import typing
-from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, field
-from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +53,7 @@ from .policies import (
     choose_action_uniform,
     update_q,
 )
+from .schema import ConfigError, _cast, read_back
 from .sensing import (
     RAYLEIGH_MAX_THRESHOLD_RATIO,
     DetectionParams,
@@ -120,47 +116,41 @@ class SimConfig:
     grid_m_max: int = 6
 
     def __post_init__(self) -> None:
-        # One rule for both ways in: a field must equal its JSON echo read back.
-        for name, tp in _HINTS[SimConfig].items():
-            value = getattr(self, name)
-            back = _cast(tp, _echo(value), name)
-            if back != value:
-                raise ConfigError(f"{name}: expected {_brief(back)}, got {_brief(value)}")
-            object.__setattr__(self, name, back)  # numpy scalars become Python ones
+        read_back(self)
         # Channel indices and cohort sizes are logged as int16.
         if not 1 <= self.n_wn <= _INT16_MAX:
-            raise ValueError(f"n_wn must be in [1, {_INT16_MAX}], got {self.n_wn}")
+            raise ConfigError(f"n_wn must be in [1, {_INT16_MAX}], got {self.n_wn}")
         if not 1 <= self.n_fb <= _INT16_MAX:
-            raise ValueError(f"n_fb must be in [1, {_INT16_MAX}], got {self.n_fb}")
+            raise ConfigError(f"n_fb must be in [1, {_INT16_MAX}], got {self.n_fb}")
         if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+            raise ConfigError(f"replications must be >= 1, got {self.replications}")
         # derive_seed reads the seed as 64 bits; outside them two seeds
         # would give one run.
         if not 0 <= self.seed <= _SEED_MAX:
-            raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
+            raise ConfigError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
         if not 0.0 <= self.epsilon_n <= 1.0:
-            raise ValueError(f"epsilon_n={self.epsilon_n} outside [0, 1]")
+            raise ConfigError(f"epsilon_n={self.epsilon_n} outside [0, 1]")
         lo, hi = self.jammer_bounds
         if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError(f"jammer_bounds {self.jammer_bounds} invalid")
+            raise ConfigError(f"jammer_bounds {self.jammer_bounds} invalid")
         if self.grid_snr_step_db <= 0:
-            raise ValueError("grid_snr_step_db must be > 0")
+            raise ConfigError("grid_snr_step_db must be > 0")
         if self.grid_snr_max_db < self.grid_snr_min_db:
-            raise ValueError("grid SNR range is empty")
+            raise ConfigError("grid SNR range is empty")
         if self.grid_m_max < 1:
-            raise ValueError("grid_m_max must be >= 1")
+            raise ConfigError("grid_m_max must be >= 1")
         snr_points = snr_axis_points(
             self.grid_snr_min_db, self.grid_snr_max_db, self.grid_snr_step_db
         )
         if not snr_points * self.grid_m_max <= _GRID_MAX_ENTRIES:
-            raise ValueError(
+            raise ConfigError(
                 f"detection grid of {snr_points:.6g} SNR points x grid_m_max="
                 f"{self.grid_m_max} exceeds {_GRID_MAX_ENTRIES} entries"
             )
         if self.placement is not None and self.placement.n_nodes != self.n_wn:
-            raise ValueError(
+            raise ConfigError(
                 f"placement has {self.placement.n_nodes} nodes but n_wn={self.n_wn}"
             )
         # Every SNR the detection model may be evaluated at must be in range.
@@ -168,7 +158,7 @@ class SimConfig:
         placement = self.resolved_placement()
         for i in range(self.n_wn):
             if jammer_distance_km(placement, i) == 0.0:
-                raise ValueError(
+                raise ConfigError(
                     f"placement node {i} sits on the jammer site {placement.jammer}"
                 )
             try:
@@ -176,18 +166,18 @@ class SimConfig:
             except OverflowError:
                 snr = math.inf
             if not snr_in_range(d, self.fading, snr):
-                raise ValueError(
+                raise ConfigError(
                     f"jammer SNR at placement node {i} is outside the range "
                     "the detection model can evaluate"
                 )
         self.check_tables(self.fading)
 
     def check_tables(self, *kinds: FadingKind) -> None:
-        """Raise ValueError unless each kind's detection table covers the grid."""
+        """Raise ConfigError unless each kind's detection table covers the grid."""
         d = self.detection
         ratio = d.threshold / d.sigma2
         if FadingKind.RAYLEIGH in kinds and ratio > RAYLEIGH_MAX_THRESHOLD_RATIO:
-            raise ValueError(
+            raise ConfigError(
                 f"detection.threshold: threshold/sigma2 = {ratio:.6g} exceeds "
                 f"{RAYLEIGH_MAX_THRESHOLD_RATIO}, where the Rayleigh table is NaN"
             )
@@ -200,7 +190,7 @@ class SimConfig:
             top = math.inf
         for kind in kinds:
             if not snr_in_range(d, kind, top):
-                raise ValueError(
+                raise ConfigError(
                     f"grid_snr_max_db={self.grid_snr_max_db} puts the grid's last "
                     f"point at {top_db:.6g} dB, outside the range the "
                     f"{kind.value} detection model can evaluate"
@@ -215,120 +205,6 @@ class SimConfig:
 
     def resolved_placement(self) -> Placement:
         return self.placement if self.placement is not None else default_placement(self.n_wn)
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or invalid scenario configs."""
-
-
-# The JSON schema is the dataclass fields themselves.
-_HINTS = {
-    cls: typing.get_type_hints(cls)
-    for cls in (SimConfig, QParams, DetectionParams, FalseAlarmTable, Placement)
-}
-# Leaf type -> (what the value must be, test).  bool is a subclass of int in
-# Python, so the number tests exclude it; numpy scalars count as numbers.
-_LEAVES = {
-    bool: ("true or false", lambda v: type(v) is bool),
-    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and type(v) is not bool),
-    float: (
-        "a finite number",
-        lambda v: isinstance(v, numbers.Real) and type(v) is not bool and math.isfinite(v),
-    ),
-}
-
-
-def _brief(value) -> str:
-    """`repr(value)` cut to 40 characters; the error's path names the field."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
-def _object(value, where: str, keys=None) -> Dict:
-    """`value` as a JSON object whose keys all lie in `keys` (if given)."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object, got {_brief(value)}")
-    for key in value:
-        if keys is not None and key not in keys:
-            raise ConfigError(f"unknown key {_brief(key)} in {where}")
-    return value
-
-
-def _cast(tp, value, where: str):
-    """Convert the JSON `value` to the field type `tp`; errors name `where`."""
-    if dataclasses.is_dataclass(tp):
-        return _build(tp, value, where)
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is Union:  # Optional[X]: null selects the None default
-        return None if value is None else _cast(args[0], value, where)
-    if origin is tuple:  # Tuple[X, ...] or fixed-length Tuple[X, Y]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where}: expected a list, got {_brief(value)}")
-        types = args[:1] * len(value) if args[-1] is Ellipsis else args
-        if len(types) != len(value):
-            raise ConfigError(
-                f"{where}: expected {len(types)} entries, got {_brief(value)}"
-            )
-        return tuple(
-            _cast(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(types, value))
-        )
-    if origin is dict:  # Dict[int, float]: JSON object keys are strings
-        out = {}
-        for key, v in _object(value, where).items():
-            try:
-                order = int(key)
-            except (TypeError, ValueError):
-                order = None
-            if str(order) != str(key):  # "01", "1_0", " 1" would alias "1"
-                raise ConfigError(f"{where}: key {_brief(key)} is not an integer")
-            out[order] = _cast(args[1], v, f"{where}.{key}")
-        return out
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        try:
-            return tp(value)
-        except ValueError:
-            raise ConfigError(
-                f"{where}: {_brief(value)} is not one of {[k.value for k in tp]}"
-            )
-    expected, ok = _LEAVES[tp]
-    try:
-        if ok(value):
-            return tp(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise ConfigError(f"{where}: expected {expected}, got {_brief(value)}")
-
-
-def _build(cls, data, where: str):
-    """Instantiate the config dataclass `cls` from a JSON object."""
-    hints = _HINTS[cls]
-    kwargs = {
-        key: _cast(hints[key], value, f"{where}.{key}")
-        for key, value in _object(data, where, hints).items()
-    }
-    for f in dataclasses.fields(cls):
-        required = f.default is MISSING and f.default_factory is MISSING
-        if required and f.name not in kwargs:
-            raise ConfigError(f"{where}: '{f.name}' is required")
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
-
-
-def _echo(value):
-    """JSON form of a config value; `_cast` reads it back unchanged."""
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: _echo(getattr(value, f.name)) for f in dataclasses.fields(value)
-        }
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return [_echo(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): _echo(v) for k, v in sorted(value.items())}
-    return value
 
 
 @dataclass

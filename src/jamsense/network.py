@@ -9,11 +9,14 @@ the transmission range (boundary inclusive).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+
+from .schema import ConfigError, read_back
 
 # Rows of the pairwise-distance block `build_neighbor_graph` holds at once.
 _BLOCK_ROWS = 128
@@ -31,16 +34,20 @@ class Placement:
     jammer_power_db: float = 15.0
 
     def __post_init__(self) -> None:
+        read_back(self)
+        if not self.nodes:
+            raise ConfigError("nodes: a placement needs at least one node")
         if not self.range_km > 0:
-            raise ValueError(f"range_km must be > 0, got {self.range_km}")
-        if not 0 < self.d0_km < math.inf:
-            raise ValueError(f"d0_km must be finite and > 0, got {self.d0_km}")
+            raise ConfigError(f"range_km must be > 0, got {self.range_km}")
+        if not self.d0_km > 0:
+            raise ConfigError(f"d0_km must be > 0, got {self.d0_km}")
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
 
+@functools.lru_cache(maxsize=16)  # immutable, and building one reads every node back
 def default_placement(n_nodes: int = 10) -> Placement:
     """Deterministic two-ring layout around a central jammer site.
 
@@ -51,8 +58,6 @@ def default_placement(n_nodes: int = 10) -> Placement:
     graph where inner nodes link to their ring neighbors and to the two
     closest outer nodes.
     """
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     inner = (n_nodes + 1) // 2
     outer = n_nodes - inner
     nodes = []
@@ -147,8 +152,6 @@ def build_neighbor_graph(placement: Placement) -> NeighborGraph:
     edges need no symmetry check.
     """
     n = placement.n_nodes
-    if n < 1:
-        raise ValueError("placement must contain at least one node")
     x, y = np.asarray(placement.nodes, dtype=float).T
     degrees, cols = [], []
     for lo in range(0, n, _BLOCK_ROWS):

@@ -28,6 +28,7 @@ from typing import MutableSequence, Sequence
 import numpy as np
 
 from .fusion import Belief
+from .schema import ConfigError, read_back
 
 _OCCUPIED = int(Belief.OCCUPIED)
 
@@ -89,12 +90,13 @@ class QParams:
     epsilon: float = 0.1
 
     def __post_init__(self) -> None:
+        read_back(self)
         if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError(f"learning_rate={self.learning_rate} outside (0, 1]")
+            raise ConfigError(f"learning_rate={self.learning_rate} outside (0, 1]")
         if not 0.0 <= self.discount < 1.0:
-            raise ValueError(f"discount={self.discount} outside [0, 1)")
+            raise ConfigError(f"discount={self.discount} outside [0, 1)")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon={self.epsilon} outside [0, 1]")
+            raise ConfigError(f"epsilon={self.epsilon} outside [0, 1]")
 
 
 def choose_action_qlearning(

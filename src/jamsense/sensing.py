@@ -23,7 +23,6 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-import numbers
 import sys
 import types
 from dataclasses import dataclass, field
@@ -31,6 +30,8 @@ from enum import Enum
 from typing import Dict, Sequence
 
 import numpy as np
+
+from .schema import ConfigError, read_back
 
 _SERIES_TAIL = 1e-14      # neglected Poisson mass in the Marcum Q series
 _SERIES_MAX_TERMS = 20000
@@ -69,19 +70,15 @@ class DetectionParams:
     n_samples: int = 10
 
     def __post_init__(self) -> None:
+        read_back(self)
         if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+            raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
         if not self.noncentrality > 0:
-            raise ValueError(
-                f"noncentrality must be positive, got {self.noncentrality}"
-            )
-        if not 0 <= self.threshold < math.inf:
-            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
-        n = self.n_samples
-        if not isinstance(n, numbers.Integral) or n % 2 != 0 or n < 4:
-            raise ValueError(
-                f"n_samples must be an even integer >= 4, got {self.n_samples}"
-            )
+            raise ConfigError(f"noncentrality must be positive, got {self.noncentrality}")
+        if not self.threshold >= 0:
+            raise ConfigError(f"threshold must be >= 0, got {self.threshold}")
+        if self.n_samples % 2 != 0 or self.n_samples < 4:
+            raise ConfigError(f"n_samples must be an even integer >= 4, got {self.n_samples}")
 
 
 # Default false-alarm probabilities by diversity order for the reference
@@ -112,22 +109,21 @@ class FalseAlarmTable:
     )
 
     def __post_init__(self) -> None:
+        read_back(self)  # each table is now a read-back copy no caller holds
         for kind in ("awgn", "rayleigh"):
-            table = types.MappingProxyType(dict(getattr(self, kind)))
+            table = types.MappingProxyType(getattr(self, kind))
             object.__setattr__(self, kind, table)
             if not table:
-                raise ValueError(f"false-alarm table for {kind} is empty")
+                raise ConfigError(f"false-alarm table for {kind} is empty")
             for m, p in table.items():
-                if not (isinstance(m, int) and m >= 1):
-                    raise ValueError(f"diversity order {m!r} must be an int >= 1")
+                if m < 1:
+                    raise ConfigError(f"{kind}: diversity order {m} must be >= 1")
                 if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"{kind}: p_fa={p} for m={m} outside [0, 1]")
+                    raise ConfigError(f"{kind}: p_fa={p} for m={m} outside [0, 1]")
 
     def __hash__(self) -> int:
-        # A mappingproxy is unhashable; equal tables have equal sorted items.
-        return hash(
-            (tuple(sorted(self.awgn.items())), tuple(sorted(self.rayleigh.items())))
-        )
+        # A mappingproxy is unhashable; read back, each table is sorted by order.
+        return hash((tuple(self.awgn.items()), tuple(self.rayleigh.items())))
 
     def __reduce__(self):
         # A mappingproxy does not pickle; rebuild from plain dicts.

@@ -254,15 +254,16 @@ def _replaced(obj, path, value):
 def _wrong_values(leaf, path):
     """(value, whether JSON refuses it too) for each wrong kind of `leaf`."""
     if type(leaf) is float:
-        return [(math.nan, True), (math.inf, True), (-math.inf, True)]
+        return [(math.nan, True), (math.inf, True), (-math.inf, True),
+                ("1", True), (None, True)]
     if type(leaf) is int:
-        return [(1.5, True), (True, True)]
+        return [(1.5, True), (True, True), ("1", True), (None, True)]
     if type(leaf) is bool:
         return [(1, True)]
     if type(leaf) is str:  # an enum: JSON's own form is the bare value
         return [(leaf, False), (leaf.upper(), True)]
-    # A pair.  Placement converts its coordinates to float pairs itself.
-    return [] if path[0] == "placement" else [(leaf, False)]
+    # A pair: JSON's own form is a list, which reads back as a tuple.
+    return [(leaf, False)]
 
 
 def _dotted(path):
@@ -296,6 +297,28 @@ def test_every_leaf_refuses_a_wrong_kind_at_both_doors():
                 SimConfig(**{path[0]: _replaced(getattr(base, path[0]), path[1:], value)})
             checked += 1
     assert checked > 100
+
+
+def test_field_reads_walk_only_what_changed(monkeypatch):
+    """A part already built is not typed again: replacing one scalar of a
+    config with 400 explicit nodes casts that config's own fields only, and
+    the JSON door casts each leaf at most twice."""
+    import jamsense.schema as schema
+
+    config = SimConfig(n_wn=400, placement=SimConfig(n_wn=400).resolved_placement())
+    calls = []
+
+    def counted(tp, value, where):
+        calls.append(where)
+        return cast(tp, value, where)
+
+    cast = schema._cast
+    monkeypatch.setattr(schema, "_cast", counted)
+    assert dataclasses.replace(config, horizon=1).horizon == 1
+    assert len(calls) < 30
+    calls.clear()
+    assert config_from_dict(config_to_dict(config)) == config
+    assert len(calls) <= 2496
 
 
 def test_config_dict_round_trip():

@@ -31,7 +31,8 @@ from jamsense.network import (
     build_neighbor_graph,
     default_placement,
 )
-from jamsense.policies import PolicyKind
+from jamsense.policies import PolicyKind, QParams
+from jamsense.schema import ConfigError
 from jamsense.sensing import (
     DetectionParams,
     FadingKind,
@@ -581,37 +582,56 @@ def test_config_validation_errors():
         (dict(horizon=True), "horizon"),
         (dict(jammer_bounds=[0.85, 0.98]), "jammer_bounds"),
         (dict(grid_snr_step_db=math.nan), "grid_snr_step_db"),
-        (dict(detection=DetectionParams(sigma2=math.inf)), "detection.sigma2"),
-        (
-            dict(detection=DetectionParams(noncentrality=math.inf)),
-            "detection.noncentrality",
-        ),
-        (
-            dict(n_wn=1, placement=Placement(((0.3, 0.0),), path_loss_exponent=math.nan)),
-            "placement.path_loss_exponent",
-        ),
-        (
-            dict(n_wn=1, placement=Placement(((0.3, 0.0),), jammer_power_db=-math.inf)),
-            "placement.jammer_power_db",
-        ),
-        (
-            dict(n_wn=1, placement=Placement(((math.nan, 0.0),))),
-            r"placement\.nodes\[0\]\[0\]",
-        ),
-        (dict(false_alarm=FalseAlarmTable(awgn={True: 0.1})), "false_alarm.awgn"),
+        # A part types its own fields when it is built, so a wrong kind
+        # inside a part is refused there, naming the field.
+        (lambda: dict(detection=DetectionParams(sigma2=math.inf)), "^sigma2:"),
+        (lambda: dict(detection=DetectionParams(noncentrality=math.inf)), "^noncentrality:"),
+        (lambda: dict(placement=Placement(((0.3, 0.0),), path_loss_exponent=math.nan)),
+         "^path_loss_exponent:"),
+        (lambda: dict(placement=Placement(((0.3, 0.0),), jammer_power_db=-math.inf)),
+         "^jammer_power_db:"),
+        (lambda: dict(placement=Placement(((math.nan, 0.0),))), r"^nodes\[0\]\[0\]:"),
+        (lambda: dict(false_alarm=FalseAlarmTable(awgn={True: 0.1})), "^awgn: key 'True'"),
         # Coordinates are typed by the schema alone: a scalar is not a pair,
         # and a list is not the tuple its echo reads back as.
-        (
-            lambda: dict(n_wn=1, placement=Placement(((0.3, 0.0),), jammer=0.5)),
-            r"placement\.jammer",
-        ),
-        (lambda: dict(n_wn=1, placement=Placement((0.3, 0.0))), r"placement\.nodes\[0\]"),
-        (lambda: dict(n_wn=1, placement=Placement([[0.3, 0.0]])), "placement"),
+        (lambda: dict(placement=Placement(((0.3, 0.0),), jammer=0.5)),
+         "^jammer: expected a list"),
+        (lambda: dict(placement=Placement((0.3, 0.0))), r"^nodes\[0\]: expected a list"),
+        (lambda: dict(placement=Placement([[0.3, 0.0]])), "^nodes: expected"),
     ],
 )
 def test_config_validation_names_the_field(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SimConfig(**(kwargs() if callable(kwargs) else kwargs))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Placement(((0.3, 0.0),), range_km="0.45"), "range_km: expected a finite"),
+        (lambda: Placement(((0.3, 0.0),), d0_km=None), "d0_km: expected a finite"),
+        (lambda: Placement(((0.3, 0.0),), jammer=("a", 0.0)), r"jammer\[0\]: expected a"),
+        (lambda: Placement(()), "nodes: a placement needs at least one node"),
+        (lambda: DetectionParams(sigma2="1"), "sigma2: expected a finite"),
+        (lambda: QParams(epsilon=None), "epsilon: expected a finite"),
+        (lambda: FalseAlarmTable(awgn={1: "0.5"}), r"awgn\.1: expected a finite"),
+        (lambda: FalseAlarmTable(awgn={1: 0.5, "a": 0.25}), "awgn: key 'a' is not an"),
+        (lambda: FalseAlarmTable(awgn={0: 0.5}), "awgn: diversity order 0 must be >= 1"),
+    ],
+)
+def test_each_part_refuses_by_field_name(build, message):
+    # Each part types its own fields when built, so a wrong kind is a
+    # ConfigError naming the field, never a TypeError from a range check.
+    with pytest.raises(ConfigError, match="^" + message):
+        build()
+
+
+def test_standalone_placement_reads_coordinates_back_as_floats():
+    nodes = ((0, np.int64(1)), (np.float32(0.5), 2))
+    placement = Placement(nodes, jammer=(np.int8(0), 0))
+    assert placement.nodes == ((0.0, 1.0), (0.5, 2.0))
+    pairs = placement.nodes + (placement.jammer,)
+    assert all(type(v) is float for pair in pairs for v in pair)
 
 
 def test_numpy_scalars_run_as_python_values():

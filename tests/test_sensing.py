@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
+from jamsense.schema import ConfigError
 from jamsense.sensing import (
     DetectionParams,
     FadingKind,
@@ -300,6 +301,12 @@ class TestFalseAlarms:
             with pytest.raises(TypeError):
                 copied.awgn[2] = 0.5
 
+    def test_numpy_integer_orders_are_stored_as_ints(self):
+        table = FalseAlarmTable(awgn={np.int64(2): 0.5, np.int32(1): 0.25})
+        assert list(table.awgn.items()) == [(1, 0.25), (2, 0.5)]
+        assert all(type(m) is int for m in table.awgn)
+        assert table == FalseAlarmTable(awgn={1: 0.25, 2: 0.5})
+
 
 class TestProbabilityGrid:
     def test_default_awgn_shape(self):
@@ -477,6 +484,11 @@ class TestDetectionParams:
         # A float count would reach range() in the Rayleigh closed form.
         with pytest.raises(ValueError, match="n_samples"):
             DetectionParams(n_samples=10.0)
+
+    def test_float_sample_count_is_a_wrong_kind(self):
+        with pytest.raises(ConfigError, match=r"^n_samples: expected an integer, got 10\.0$"):
+            DetectionParams(n_samples=10.0)
+        assert type(DetectionParams(n_samples=np.int64(12)).n_samples) is int
 
 
 def test_probability_outputs_in_unit_interval_fuzzed():
