@@ -23,14 +23,14 @@ from contextlib import contextmanager
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Annotated, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .engine import BatchResult, RunRecord, SimConfig, run, run_batch
 from .policies import PolicyKind
-from .schema import ConfigError, _brief, _build, _echo, _hints, _object
+from .schema import ConfigError, Range, _brief, _build, _cast, _echo, _hints, _object
 from .sensing import FadingKind
 
 
@@ -300,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Config-key flags: the dest is the key and the type comes from SimConfig.
     for key in _FLAG_KEYS:
         tp = _hints(SimConfig)[key]
+        tp = getattr(tp, "__origin__", tp)  # Annotated[int, Range(1)] -> int
         typed = (
             {"choices": [k.value for k in tp]} if issubclass(tp, Enum) else {"type": tp}
         )
@@ -351,8 +352,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for path in export_grid(config, args.out):
                 print(f"wrote {path}")
             return 0
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        _cast(Annotated[int, Range(1)], args.workers, "--workers")
         curves = _curves_for(args)
         try:
             written = run_experiment(

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Annotated, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .policies import (
     choose_action_uniform,
     update_q,
 )
-from .schema import ConfigError, _cast, read_back
+from .schema import ConfigError, Range, _cast, read_back
 from .sensing import (
     RAYLEIGH_MAX_THRESHOLD_RATIO,
     DetectionParams,
@@ -75,8 +75,11 @@ SKIPPED = 0
 SUCCESSFUL = 1
 JAMMED = 2
 
+# Channel indices and cohort sizes are logged as int16.
 _INT16_MAX = np.iinfo(np.int16).max
-_SEED_MAX = (1 << 64) - 1
+# derive_seed reads a seed or replication as 64 bits; outside them two seeds
+# would give one run.
+_Seed = Annotated[int, Range(0, (1 << 64) - 1)]
 # Bounds the memory and set-up time of the AWGN detection table (the
 # reference table has 16 x 6 entries).
 _GRID_MAX_ENTRIES = 10_000
@@ -93,54 +96,35 @@ class SimConfig:
     afterwards, so every SimConfig that exists is a valid one.
     """
 
-    n_wn: int = 10
-    n_fb: int = 10
-    horizon: int = 2000
+    n_wn: Annotated[int, Range(1, _INT16_MAX)] = 10
+    n_fb: Annotated[int, Range(1, _INT16_MAX)] = 10
+    horizon: Annotated[int, Range(1)] = 2000
     fading: FadingKind = FadingKind.AWGN
     policy: PolicyKind = PolicyKind.PSEUDO_RANDOM
-    epsilon_n: float = 0.1
+    epsilon_n: Annotated[float, Range(0, 1)] = 0.1
     qlearning: QParams = field(default_factory=QParams)
     detection: DetectionParams = field(default_factory=DetectionParams)
     false_alarm: FalseAlarmTable = field(default_factory=FalseAlarmTable)
     placement: Optional[Placement] = None  # None -> default two-ring layout
     jammer_bounds: Tuple[float, float] = (0.85, 0.98)
     use_super_decision: bool = True
-    seed: int = 0
-    replications: int = 100
+    seed: _Seed = 0
+    replications: Annotated[int, Range(1)] = 100
     grid_lookup: bool = True    # detection probabilities via snapped lookup table
     shared_draw: bool = True    # one sensing draw per channel-step (see README)
     global_cohort: bool = False  # count all co-sensing nodes, not just neighbors
     grid_snr_min_db: float = 0.0
     grid_snr_max_db: float = 15.0
-    grid_snr_step_db: float = 1.0
-    grid_m_max: int = 6
+    grid_snr_step_db: Annotated[float, Range(0, open_lo=True)] = 1.0
+    grid_m_max: Annotated[int, Range(1)] = 6
 
     def __post_init__(self) -> None:
         read_back(self)
-        # Channel indices and cohort sizes are logged as int16.
-        if not 1 <= self.n_wn <= _INT16_MAX:
-            raise ConfigError(f"n_wn must be in [1, {_INT16_MAX}], got {self.n_wn}")
-        if not 1 <= self.n_fb <= _INT16_MAX:
-            raise ConfigError(f"n_fb must be in [1, {_INT16_MAX}], got {self.n_fb}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        # derive_seed reads the seed as 64 bits; outside them two seeds
-        # would give one run.
-        if not 0 <= self.seed <= _SEED_MAX:
-            raise ConfigError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
-        if not 0.0 <= self.epsilon_n <= 1.0:
-            raise ConfigError(f"epsilon_n={self.epsilon_n} outside [0, 1]")
         lo, hi = self.jammer_bounds
         if not (0.0 <= lo <= hi <= 1.0):
             raise ConfigError(f"jammer_bounds {self.jammer_bounds} invalid")
-        if self.grid_snr_step_db <= 0:
-            raise ConfigError("grid_snr_step_db must be > 0")
         if self.grid_snr_max_db < self.grid_snr_min_db:
             raise ConfigError("grid SNR range is empty")
-        if self.grid_m_max < 1:
-            raise ConfigError("grid_m_max must be >= 1")
         snr_points = snr_axis_points(
             self.grid_snr_min_db, self.grid_snr_max_db, self.grid_snr_step_db
         )
@@ -526,12 +510,9 @@ def _run_world(world: _World) -> RunRecord:
 
 
 def run(config: SimConfig, replication: int = 0) -> RunRecord:
-    """Execute one seeded run; `replication` selects the derived seed."""
-    # Checked as the seed is: derive_seed reads it as 64 bits.
-    replication = _cast(int, replication, "replication")
-    if not 0 <= replication <= _SEED_MAX:
-        raise ValueError(f"replication must be in [0, 2**64 - 1], got {replication}")
-    return _run_world(_World(config, replication))
+    """Execute one seeded run; `replication`, read as the seed is, selects
+    the derived seed."""
+    return _run_world(_World(config, _cast(_Seed, replication, "replication")))
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +627,7 @@ def run_batch(config: SimConfig, workers: int = 1) -> BatchResult:
     replication order.  At most `workers` processes run, and no more than
     there are replications or CPUs; with one, the batch runs in-process.
     """
-    workers = _cast(int, workers, "workers")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _cast(Annotated[int, Range(1)], workers, "workers")
     reps = config.replications
     tasks = [(config, r) for r in range(reps)]
     processes = min(workers, reps, os.cpu_count() or 1)

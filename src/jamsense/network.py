@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Annotated, Tuple
 
 import numpy as np
 
-from .schema import ConfigError, read_back
+from .schema import ConfigError, Range, read_back
 
 # Rows of the pairwise-distance block `build_neighbor_graph` holds at once.
 _BLOCK_ROWS = 128
@@ -28,8 +28,8 @@ class Placement:
 
     nodes: Tuple[Tuple[float, float], ...]
     jammer: Tuple[float, float] = (0.0, 0.0)
-    range_km: float = 0.45
-    d0_km: float = 0.05
+    range_km: Annotated[float, Range(0, open_lo=True)] = 0.45
+    d0_km: Annotated[float, Range(0, open_lo=True)] = 0.05
     path_loss_exponent: float = -2.3
     jammer_power_db: float = 15.0
 
@@ -37,10 +37,6 @@ class Placement:
         read_back(self)
         if not self.nodes:
             raise ConfigError("nodes: a placement needs at least one node")
-        if not self.range_km > 0:
-            raise ConfigError(f"range_km must be > 0, got {self.range_km}")
-        if not self.d0_km > 0:
-            raise ConfigError(f"d0_km must be > 0, got {self.d0_km}")
 
     @property
     def n_nodes(self) -> int:

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import MutableSequence, Sequence
+from typing import Annotated, MutableSequence, Sequence
 
 import numpy as np
 
 from .fusion import Belief
-from .schema import ConfigError, read_back
+from .schema import Range, read_back
 
 _OCCUPIED = int(Belief.OCCUPIED)
 
@@ -85,18 +85,12 @@ def choose_action_uniform(n_channels: int, rng: np.random.Generator) -> int:
 class QParams:
     """Bandit hyperparameters of the q-learning policy."""
 
-    learning_rate: float = 0.1
-    discount: float = 0.9
-    epsilon: float = 0.1
+    learning_rate: Annotated[float, Range(0, 1, open_lo=True)] = 0.1
+    discount: Annotated[float, Range(0, 1, open_hi=True)] = 0.9
+    epsilon: Annotated[float, Range(0, 1)] = 0.1
 
     def __post_init__(self) -> None:
         read_back(self)
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ConfigError(f"learning_rate={self.learning_rate} outside (0, 1]")
-        if not 0.0 <= self.discount < 1.0:
-            raise ConfigError(f"discount={self.discount} outside [0, 1)")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon={self.epsilon} outside [0, 1]")
 
 
 def choose_action_qlearning(

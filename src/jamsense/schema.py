@@ -1,6 +1,7 @@
 """The config schema, one typing rule for both ways in: each config dataclass
 calls `read_back` first in its `__post_init__`, and `_build` builds one from a
-JSON object.  This module imports no other jamsense module."""
+JSON object.  A numeric field declares its bounds beside its type, as
+`Annotated[int, Range(1)]`.  This module imports no other jamsense module."""
 
 from __future__ import annotations
 
@@ -29,8 +30,32 @@ _LEAVES = {
 }
 
 
-# Field name -> type of a config dataclass, resolved on the class's first use.
-_hints = functools.lru_cache(maxsize=None)(typing.get_type_hints)
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """Bounds of a numeric config leaf; a bound left None is unbounded."""
+
+    lo: typing.Optional[float] = None
+    hi: typing.Optional[float] = None
+    open_lo: bool = False
+    open_hi: bool = False
+
+    def holds(self, v) -> bool:
+        lo, hi = self.lo, self.hi
+        return (lo is None or (lo < v if self.open_lo else lo <= v)) and (
+            hi is None or (v < hi if self.open_hi else v <= hi)
+        )
+
+    def __str__(self) -> str:
+        lo = "(-inf" if self.lo is None else f"{'(' if self.open_lo else '['}{self.lo}"
+        hi = "inf)" if self.hi is None else f"{self.hi}{')' if self.open_hi else ']'}"
+        return f"in {lo}, {hi}"
+
+
+@functools.lru_cache(maxsize=None)
+def _hints(cls) -> dict:
+    """Field name -> type of a config dataclass, its Range kept; resolved on
+    the class's first use."""
+    return typing.get_type_hints(cls, include_extras=True)
 
 
 def _brief(value) -> str:
@@ -50,12 +75,20 @@ def _object(value, where: str, keys=None) -> dict:
 
 
 def _cast(tp, value, where: str):
-    """Convert the JSON `value` to the field type `tp`; errors name `where`."""
-    if tp in _LEAVES:  # most calls, so tested first
-        expected, ok = _LEAVES[tp]
+    """Convert the JSON `value` to the field type `tp`; errors name `where`.
+    A leaf with a Range is typed first and bounded after."""
+    leaf, bounds = _LEAVES.get(tp), None  # most calls are leaves, so tested first
+    if leaf is None and typing.get_origin(tp) is typing.Annotated:
+        tp, (bounds,) = tp.__origin__, tp.__metadata__
+        leaf = _LEAVES[tp]
+    if leaf is not None:
+        expected, ok = leaf
         try:
             if ok(value):
-                return tp(value)
+                typed = tp(value)
+                if bounds is None or bounds.holds(typed):
+                    return typed
+                expected = f"{expected} {bounds}"
         except OverflowError:  # an integer beyond the float range
             pass
         raise ConfigError(f"{where}: expected {expected}, got {_brief(value)}")

@@ -27,11 +27,11 @@ import sys
 import types
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Sequence
+from typing import Annotated, Dict, Sequence
 
 import numpy as np
 
-from .schema import ConfigError, read_back
+from .schema import ConfigError, Range, read_back
 
 _SERIES_TAIL = 1e-14      # neglected Poisson mass in the Marcum Q series
 _SERIES_MAX_TERMS = 20000
@@ -64,21 +64,15 @@ class DetectionParams:
         well defined.
     """
 
-    sigma2: float = 1.0
-    noncentrality: float = 2.0
-    threshold: float = 12.1
-    n_samples: int = 10
+    sigma2: Annotated[float, Range(0, open_lo=True)] = 1.0
+    noncentrality: Annotated[float, Range(0, open_lo=True)] = 2.0
+    threshold: Annotated[float, Range(0)] = 12.1
+    n_samples: Annotated[int, Range(4)] = 10
 
     def __post_init__(self) -> None:
         read_back(self)
-        if not self.sigma2 > 0:
-            raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
-        if not self.noncentrality > 0:
-            raise ConfigError(f"noncentrality must be positive, got {self.noncentrality}")
-        if not self.threshold >= 0:
-            raise ConfigError(f"threshold must be >= 0, got {self.threshold}")
-        if self.n_samples % 2 != 0 or self.n_samples < 4:
-            raise ConfigError(f"n_samples must be an even integer >= 4, got {self.n_samples}")
+        if self.n_samples % 2 != 0:
+            raise ConfigError(f"n_samples must be even, got {self.n_samples}")
 
 
 # Default false-alarm probabilities by diversity order for the reference
@@ -101,10 +95,10 @@ class FalseAlarmTable:
     `false_alarm_probability` reads them.
     """
 
-    awgn: Dict[int, float] = field(
+    awgn: Dict[int, Annotated[float, Range(0, 1)]] = field(
         default_factory=lambda: dict(DEFAULT_AWGN_FALSE_ALARMS)
     )
-    rayleigh: Dict[int, float] = field(
+    rayleigh: Dict[int, Annotated[float, Range(0, 1)]] = field(
         default_factory=lambda: dict(DEFAULT_RAYLEIGH_FALSE_ALARMS)
     )
 
@@ -115,11 +109,9 @@ class FalseAlarmTable:
             object.__setattr__(self, kind, table)
             if not table:
                 raise ConfigError(f"false-alarm table for {kind} is empty")
-            for m, p in table.items():
+            for m in table:
                 if m < 1:
                     raise ConfigError(f"{kind}: diversity order {m} must be >= 1")
-                if not 0.0 <= p <= 1.0:
-                    raise ConfigError(f"{kind}: p_fa={p} for m={m} outside [0, 1]")
 
     def __hash__(self) -> int:
         # A mappingproxy is unhashable; read back, each table is sorted by order.

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from jamsense.cli import (
 from jamsense.engine import JAMMED, SKIPPED, SUCCESSFUL, SimConfig, run, run_batch
 from jamsense.fusion import Belief
 from jamsense.policies import PolicyKind, QParams
+from jamsense.schema import _hints
 from jamsense.sensing import DetectionParams, FadingKind, ProbabilityGrid
 
 # Pinned after validating grid entries against the quadrature oracle
@@ -297,6 +299,85 @@ def test_every_leaf_refuses_a_wrong_kind_at_both_doors():
                 SimConfig(**{path[0]: _replaced(getattr(base, path[0]), path[1:], value)})
             checked += 1
     assert checked > 100
+
+
+def _declared(path):
+    """The declared type of the config leaf at the echo `path`."""
+    tp = SimConfig
+    for key in path:
+        if typing.get_origin(tp) is typing.Union:  # Optional[Placement]
+            tp = typing.get_args(tp)[0]
+        if dataclasses.is_dataclass(tp):
+            tp = _hints(tp)[key]
+        else:  # an entry of a table or of a tuple
+            tp = typing.get_args(tp)[1 if typing.get_origin(tp) is dict else 0]
+    return tp
+
+
+def _past_and_on(kind, bounds):
+    """(values refused, values accepted) at the ends of `bounds`: a value
+    just past each end and an open end itself, then a closed end."""
+    refused, accepted = [], []
+    for end, is_open, outward in (
+        (bounds.lo, bounds.open_lo, -1), (bounds.hi, bounds.open_hi, 1)
+    ):
+        if end is not None:
+            past = end + outward if kind is int else math.nextafter(end, outward * math.inf)
+            refused.append(kind(past))
+            (refused if is_open else accepted).append(kind(end))
+    return refused, accepted
+
+
+def test_every_ranged_leaf_refuses_past_its_bounds_at_both_doors():
+    """Each leaf declared with a Range refuses a value just past each end, and
+    an open end itself, at config_from_dict naming its path and at the Python
+    constructors naming its field; a value on a closed end is accepted."""
+    placed = SimConfig(placement=SimConfig().resolved_placement())
+    ranged, declared = [], {}
+    for path in _key_paths(_DEFAULT_ECHO):
+        tp = _declared(path)
+        if typing.get_origin(tp) is not typing.Annotated:
+            continue
+        (kind, bounds), dotted = typing.get_args(tp), _dotted(path)
+        ranged.append(dotted)
+        field = [k for k in path if isinstance(k, str) and not k.isdigit()][-1]
+        declared[field] = str(bounds)
+        # An explicit placement holds 10 nodes, the default one follows n_wn.
+        base = placed if path[0] == "placement" else SimConfig()
+        data = config_to_dict(base)
+        if base.placement is None:
+            data["placement"] = None
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        refused, accepted = _past_and_on(kind, bounds)
+        for value in refused:
+            parent[path[-1]] = value
+            with pytest.raises(ConfigError) as exc:
+                config_from_dict(data)
+            assert str(exc.value).startswith(f"config.{dotted}: expected "), dotted
+            assert f" {bounds}, got " in str(exc.value)
+            with pytest.raises(ConfigError, match="^" + field):
+                _replaced(base, path, value)
+        for value in accepted:
+            parent[path[-1]] = value
+            config = _replaced(base, path, value)
+            assert config_from_dict(data) == config, dotted
+            leaf = config_to_dict(config)
+            for key in path:
+                leaf = leaf[key]
+            assert leaf == value, dotted
+    assert len(ranged) == 24, ranged
+    assert declared == {
+        "n_wn": "in [1, 32767]", "n_fb": "in [1, 32767]", "horizon": "in [1, inf)",
+        "epsilon_n": "in [0, 1]", "learning_rate": "in (0, 1]",
+        "discount": "in [0, 1)", "epsilon": "in [0, 1]", "sigma2": "in (0, inf)",
+        "noncentrality": "in (0, inf)", "threshold": "in [0, inf)",
+        "n_samples": "in [4, inf)", "awgn": "in [0, 1]", "rayleigh": "in [0, 1]",
+        "range_km": "in (0, inf)", "d0_km": "in (0, inf)",
+        "seed": f"in [0, {2**64 - 1}]", "replications": "in [1, inf)",
+        "grid_snr_step_db": "in (0, inf)", "grid_m_max": "in [1, inf)",
+    }
 
 
 def test_field_reads_walk_only_what_changed(monkeypatch):

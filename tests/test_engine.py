@@ -153,7 +153,7 @@ def test_replication_seeds_differ_and_derive_from_master():
 
 @pytest.mark.parametrize("replication", [1.5, True, -1, 2**64])
 def test_run_refuses_a_replication_outside_the_seed_range(replication):
-    with pytest.raises(ValueError, match="replication"):
+    with pytest.raises(ConfigError, match="^replication: expected an integer"):
         run(SimConfig(horizon=5, replications=1), replication)
 
 
@@ -472,7 +472,7 @@ def test_run_batch_rejects_fewer_than_one_worker(monkeypatch, workers):
     pools = []
     monkeypatch.setattr(multiprocessing, "Pool", lambda *a, **k: pools.append(a))
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    with pytest.raises(ValueError, match="workers"):
+    with pytest.raises(ConfigError, match="^workers: expected an integer"):
         run_batch(SimConfig(horizon=5, replications=2), workers=workers)
     assert pools == []
 
