@@ -55,19 +55,18 @@ from .policies import (
 )
 from .schema import ConfigError, Range, _cast, read_back
 from .sensing import (
-    RAYLEIGH_MAX_THRESHOLD_RATIO,
     DetectionParams,
     FadingKind,
     FalseAlarmTable,
     ProbabilityGrid,
     build_awgn_grid,
     build_rayleigh_grid,
+    check_snr,
     false_alarm_probability,
     p_d_awgn,
     p_d_rayleigh_single,
     snr_axis,
     snr_axis_points,
-    snr_in_range,
 )
 
 # Transmission outcomes.
@@ -122,20 +121,20 @@ class SimConfig:
         read_back(self)
         lo, hi = self.jammer_bounds
         if not (0.0 <= lo <= hi <= 1.0):
-            raise ConfigError(f"jammer_bounds {self.jammer_bounds} invalid")
+            raise ConfigError(f"jammer_bounds: {self.jammer_bounds} invalid")
         if self.grid_snr_max_db < self.grid_snr_min_db:
-            raise ConfigError("grid SNR range is empty")
+            raise ConfigError("grid_snr_max_db: grid SNR range is empty")
         snr_points = snr_axis_points(
             self.grid_snr_min_db, self.grid_snr_max_db, self.grid_snr_step_db
         )
         if not snr_points * self.grid_m_max <= _GRID_MAX_ENTRIES:
             raise ConfigError(
-                f"detection grid of {snr_points:.6g} SNR points x grid_m_max="
-                f"{self.grid_m_max} exceeds {_GRID_MAX_ENTRIES} entries"
+                f"grid_m_max: detection grid of {snr_points:.6g} SNR points x "
+                f"grid_m_max={self.grid_m_max} exceeds {_GRID_MAX_ENTRIES} entries"
             )
         if self.placement is not None and self.placement.n_nodes != self.n_wn:
             raise ConfigError(
-                f"placement has {self.placement.n_nodes} nodes but n_wn={self.n_wn}"
+                f"placement.nodes: {self.placement.n_nodes} nodes but n_wn={self.n_wn}"
             )
         # Every SNR the detection model may be evaluated at must be in range.
         d = self.detection
@@ -143,28 +142,17 @@ class SimConfig:
         for i in range(self.n_wn):
             if jammer_distance_km(placement, i) == 0.0:
                 raise ConfigError(
-                    f"placement node {i} sits on the jammer site {placement.jammer}"
+                    f"placement.nodes[{i}]: sits on the jammer site {placement.jammer}"
                 )
             try:
                 snr = snr_at_node(placement, i, d.sigma2)
             except OverflowError:
                 snr = math.inf
-            if not snr_in_range(d, self.fading, snr):
-                raise ConfigError(
-                    f"jammer SNR at placement node {i} is outside the range "
-                    "the detection model can evaluate"
-                )
+            check_snr(d, self.fading, snr, f"placement.nodes[{i}]: jammer SNR")
         self.check_tables(self.fading)
 
     def check_tables(self, *kinds: FadingKind) -> None:
         """Raise ConfigError unless each kind's detection table covers the grid."""
-        d = self.detection
-        ratio = d.threshold / d.sigma2
-        if FadingKind.RAYLEIGH in kinds and ratio > RAYLEIGH_MAX_THRESHOLD_RATIO:
-            raise ConfigError(
-                f"detection.threshold: threshold/sigma2 = {ratio:.6g} exceeds "
-                f"{RAYLEIGH_MAX_THRESHOLD_RATIO}, where the Rayleigh table is NaN"
-            )
         top_db = snr_axis(
             self.grid_snr_min_db, self.grid_snr_max_db, self.grid_snr_step_db
         )[-1]
@@ -173,12 +161,7 @@ class SimConfig:
         except OverflowError:
             top = math.inf
         for kind in kinds:
-            if not snr_in_range(d, kind, top):
-                raise ConfigError(
-                    f"grid_snr_max_db={self.grid_snr_max_db} puts the grid's last "
-                    f"point at {top_db:.6g} dB, outside the range the "
-                    f"{kind.value} detection model can evaluate"
-                )
+            check_snr(self.detection, kind, top, "grid_snr_max_db: the grid's last point")
 
     def grid(self, kind: FadingKind) -> ProbabilityGrid:
         """The detection table of `kind` over this config's SNR axis."""

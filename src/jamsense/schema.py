@@ -70,7 +70,7 @@ def _object(value, where: str, keys=None) -> dict:
         raise ConfigError(f"{where}: expected an object, got {_brief(value)}")
     for key in value:
         if keys is not None and key not in keys:
-            raise ConfigError(f"unknown key {_brief(key)} in {where}")
+            raise ConfigError(f"{where}: unknown key {_brief(key)}")
     return value
 
 
@@ -124,7 +124,9 @@ def _cast(tp, value, where: str):
 
 
 def _build(cls, data, where: str):
-    """Instantiate the config dataclass `cls` from a JSON object."""
+    """Instantiate the config dataclass `cls` from a JSON object.  A part's
+    refusal starts with its leaf path; this is the one place `where` goes in
+    front."""
     hints = _hints(cls)
     kwargs = {
         key: _cast(hints[key], value, f"{where}.{key}")
@@ -132,11 +134,11 @@ def _build(cls, data, where: str):
     }
     for f in dataclasses.fields(cls):
         if f.name not in kwargs and f.default is f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{where}: '{f.name}' is required")
+            raise ConfigError(f"{where}.{f.name}: is required")
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
+        raise ConfigError(f"{where}.{exc}")
 
 
 def _echo(value):

@@ -72,7 +72,7 @@ class DetectionParams:
     def __post_init__(self) -> None:
         read_back(self)
         if self.n_samples % 2 != 0:
-            raise ConfigError(f"n_samples must be even, got {self.n_samples}")
+            raise ConfigError(f"n_samples: must be even, got {self.n_samples}")
 
 
 # Default false-alarm probabilities by diversity order for the reference
@@ -108,10 +108,9 @@ class FalseAlarmTable:
             table = types.MappingProxyType(getattr(self, kind))
             object.__setattr__(self, kind, table)
             if not table:
-                raise ConfigError(f"false-alarm table for {kind} is empty")
-            for m in table:
-                if m < 1:
-                    raise ConfigError(f"{kind}: diversity order {m} must be >= 1")
+                raise ConfigError(f"{kind}: false-alarm table is empty")
+            if min(table) < 1:
+                raise ConfigError(f"{kind}.{min(table)}: diversity order must be >= 1")
 
     def __hash__(self) -> int:
         # A mappingproxy is unhashable; read back, each table is sorted by order.
@@ -232,17 +231,31 @@ def p_d_awgn(params: DetectionParams, snr: float, m: int = 1) -> float:
     return marcum_q(order, alpha, beta)
 
 
-def snr_in_range(params: DetectionParams, kind: FadingKind, snr: float) -> bool:
-    """Whether the detection probability for `kind` is defined at linear `snr`.
+def check_snr(params: DetectionParams, kind: FadingKind, snr: float, where: str) -> None:
+    """Raise a ConfigError unless the `kind` detection model is defined at
+    linear `snr`; `where` is the refusal's path and what `snr` is.
 
     `p_d_awgn` forms alpha**2 = noncentrality*snr/sigma2, which `marcum_q`
-    takes up to `MARCUM_MAX_NONCENTRALITY`; `p_d_rayleigh_single` forms
-    x*noncentrality*snr with x = threshold/(2*sigma2), which must be finite.
+    takes up to `MARCUM_MAX_NONCENTRALITY`.  `p_d_rayleigh_single` needs
+    threshold/sigma2 at most `RAYLEIGH_MAX_THRESHOLD_RATIO`, whatever the
+    SNR, and a finite x*noncentrality*snr with x = threshold/(2*sigma2).
     """
     g = params.noncentrality * snr
     if kind is FadingKind.AWGN:
-        return g / params.sigma2 <= MARCUM_MAX_NONCENTRALITY
-    return math.isfinite(params.threshold / (2.0 * params.sigma2) * g)
+        ok = g / params.sigma2 <= MARCUM_MAX_NONCENTRALITY
+    else:
+        ratio = params.threshold / params.sigma2
+        if ratio > RAYLEIGH_MAX_THRESHOLD_RATIO:  # the config leaf at fault, not `where`
+            raise ConfigError(
+                f"detection.threshold: threshold/sigma2 = {ratio:.6g} exceeds "
+                f"{RAYLEIGH_MAX_THRESHOLD_RATIO}, where the Rayleigh table is NaN"
+            )
+        ok = math.isfinite(params.threshold / (2.0 * params.sigma2) * g)
+    if not ok:
+        raise ConfigError(
+            f"{where} at {10.0 * math.log10(snr):.6g} dB is outside the range the "
+            f"{kind.value} detection model can evaluate"
+        )
 
 
 def p_d_rayleigh_single(params: DetectionParams, mean_snr: float) -> float:
@@ -336,13 +349,14 @@ class ProbabilityGrid:
             )
         if len(self.snr_db) == 0 or len(self.diversity) == 0:
             raise ValueError("grid axes must be non-empty")
-        if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
-            raise ValueError("snr_db axis must be strictly ascending")
+        axis = self.snr_db
+        if not all(map(math.isfinite, axis)) or any(b <= a for a, b in zip(axis, axis[1:])):
+            raise ValueError("snr_db axis must be finite and strictly ascending")
         if any(
             b != a + 1 for a, b in zip(self.diversity, self.diversity[1:])
         ) or self.diversity[0] < 1:
             raise ValueError("diversity axis must be contiguous integers >= 1")
-        if np.any(values < 0.0) or np.any(values > 1.0):
+        if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN included
             raise ValueError("grid entries must lie in [0, 1]")
         # Allow a few ulp of slack: entries are computed independently.
         if np.any(np.diff(values, axis=0) < -1e-12):

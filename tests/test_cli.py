@@ -31,9 +31,10 @@ from jamsense.cli import (
 )
 from jamsense.engine import JAMMED, SKIPPED, SUCCESSFUL, SimConfig, run, run_batch
 from jamsense.fusion import Belief
+from jamsense.network import Placement
 from jamsense.policies import PolicyKind, QParams
 from jamsense.schema import _hints
-from jamsense.sensing import DetectionParams, FadingKind, ProbabilityGrid
+from jamsense.sensing import DetectionParams, FadingKind, FalseAlarmTable, ProbabilityGrid
 
 # Pinned after validating grid entries against the quadrature oracle
 # (see test_sensing); guards the CSV export byte layout as well.
@@ -165,7 +166,10 @@ class TestParseConfig:
                 {"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0.2, 0]], "jammer": [0]}},
                 "placement.jammer",
             ),
-            ({"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0, 0]]}}, "node 1"),
+            (
+                {"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0, 0]]}},
+                "config.json.placement.nodes[1]: sits on the jammer site",
+            ),
             ({"n_fb": 40000}, "n_fb"),
             ({"n_wn": 40000}, "n_wn"),
             ({"qlearning": {"epsilon": 1.5}}, "config.json.qlearning"),
@@ -378,6 +382,74 @@ def test_every_ranged_leaf_refuses_past_its_bounds_at_both_doors():
         "seed": f"in [0, {2**64 - 1}]", "replications": "in [1, inf)",
         "grid_snr_step_db": "in (0, inf)", "grid_m_max": "in [1, inf)",
     }
+
+
+# Each refusal beyond the typing rules: (JSON config, the path config_from_dict
+# names, a Python build, the path it names relative to the part that raises it,
+# the refusal's detail).  A missing or unknown keyword is Python's own TypeError.
+_RULE_REFUSALS = {
+    "odd n_samples": ({"detection": {"n_samples": 7}}, "detection.n_samples",
+                      lambda: DetectionParams(n_samples=7), "n_samples", "must be even"),
+    "empty false-alarm table": ({"false_alarm": {"awgn": {}}}, "false_alarm.awgn",
+                                lambda: FalseAlarmTable(awgn={}), "awgn", "is empty"),
+    "order 0": ({"false_alarm": {"awgn": {"0": 0.5}}}, "false_alarm.awgn.0",
+                lambda: FalseAlarmTable(awgn={0: 0.5}), "awgn.0", "diversity order"),
+    "empty node list": ({"placement": {"nodes": []}}, "placement.nodes",
+                        lambda: Placement(()), "nodes", "at least one node"),
+    "missing nodes": ({"placement": {"range_km": 0.4}}, "placement.nodes",
+                      lambda: Placement(range_km=0.4), None, "is required"),
+    "unknown key": ({"detection": {"x": 1}}, "detection",
+                    lambda: DetectionParams(x=1), None, "unknown key 'x'"),
+    "jammer_bounds order": ({"jammer_bounds": [0.9, 0.8]}, "jammer_bounds",
+                            lambda: SimConfig(jammer_bounds=(0.9, 0.8)), "jammer_bounds",
+                            "(0.9, 0.8)"),
+    "empty grid range": ({"grid_snr_min_db": 5.0, "grid_snr_max_db": 4.0}, "grid_snr_max_db",
+                         lambda: SimConfig(grid_snr_min_db=5.0, grid_snr_max_db=4.0),
+                         "grid_snr_max_db", "range is empty"),
+    "grid entry bound": ({"grid_snr_step_db": 1e-3}, "grid_m_max",
+                         lambda: SimConfig(grid_snr_step_db=1e-3), "grid_m_max",
+                         "detection grid of 15001 SNR points"),
+    "placement size": ({"n_wn": 3, "placement": {"nodes": [[0.3, 0.0]]}}, "placement.nodes",
+                       lambda: SimConfig(n_wn=3, placement=Placement(((0.3, 0.0),))),
+                       "placement.nodes", "1 nodes but n_wn=3"),
+    "node on the site": ({"n_wn": 1, "placement": {"nodes": [[0.0, 0.0]]}},
+                         "placement.nodes[0]",
+                         lambda: SimConfig(n_wn=1, placement=Placement(((0.0, 0.0),))),
+                         "placement.nodes[0]", "sits on the jammer site (0.0, 0.0)"),
+    "node SNR": ({"detection": {"sigma2": 5e-324}}, "placement.nodes[0]",
+                 lambda: SimConfig(detection=DetectionParams(sigma2=5e-324)),
+                 "placement.nodes[0]", "jammer SNR at inf dB is outside the range"),
+    "Rayleigh threshold": ({"fading": "rayleigh", "detection": {"threshold": 1e5}},
+                           "detection.threshold",
+                           lambda: SimConfig(fading=FadingKind.RAYLEIGH,
+                                             detection=DetectionParams(threshold=1e5)),
+                           "detection.threshold", "threshold/sigma2 = 100000 exceeds"),
+    # The axis rounds to 162 steps of 0.6 dB: its last point is 97.2 dB.
+    "grid's last point": ({"grid_snr_max_db": 96.9, "grid_snr_step_db": 0.6},
+                          "grid_snr_max_db",
+                          lambda: SimConfig(grid_snr_max_db=96.9, grid_snr_step_db=0.6),
+                          "grid_snr_max_db", "the grid's last point at 97.2 dB"),
+}
+
+
+@pytest.mark.parametrize(
+    "data, path, build, relative, detail", _RULE_REFUSALS.values(), ids=_RULE_REFUSALS
+)
+def test_every_rule_refusal_starts_with_its_leaf_path_at_both_doors(
+    data, path, build, relative, detail
+):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    assert str(exc.value).startswith(f"config.{path}: "), str(exc.value)
+    assert detail in str(exc.value)
+    if relative is None:
+        with pytest.raises(TypeError):
+            build()
+        return
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert str(exc.value).startswith(f"{relative}: "), str(exc.value)
+    assert detail in str(exc.value)
 
 
 def test_field_reads_walk_only_what_changed(monkeypatch):

@@ -547,13 +547,13 @@ def test_config_validation_errors():
         (dict(n_fb=32768), "n_fb"),
         (
             dict(n_wn=2, placement=Placement(nodes=((0.1, 0.0), (0.0, 0.0)))),
-            "placement node 1 sits on the jammer site",
+            r"^placement\.nodes\[1\]: sits on the jammer site",
         ),
         (
             dict(n_wn=2, placement=Placement(nodes=((0.1, 0.0), (1e-300, 0.0)))),
-            "placement node 1",
+            r"^placement\.nodes\[1\]: jammer SNR",
         ),
-        (dict(detection=DetectionParams(sigma2=5e-324)), "placement node 0"),
+        (dict(detection=DetectionParams(sigma2=5e-324)), r"^placement\.nodes\[0\]:"),
         (
             dict(fading=FadingKind.RAYLEIGH, detection=DetectionParams(threshold=1e5)),
             "threshold/sigma2",
@@ -616,7 +616,7 @@ def test_config_validation_names_the_field(kwargs, message):
         (lambda: QParams(epsilon=None), "epsilon: expected a finite"),
         (lambda: FalseAlarmTable(awgn={1: "0.5"}), r"awgn\.1: expected a finite"),
         (lambda: FalseAlarmTable(awgn={1: 0.5, "a": 0.25}), "awgn: key 'a' is not an"),
-        (lambda: FalseAlarmTable(awgn={0: 0.5}), "awgn: diversity order 0 must be >= 1"),
+        (lambda: FalseAlarmTable(awgn={0: 0.5}), r"awgn\.0: diversity order must be >= 1"),
     ],
 )
 def test_each_part_refuses_by_field_name(build, message):

@@ -464,6 +464,14 @@ class TestProbabilityGrid:
             ProbabilityGrid(  # non-contiguous diversity axis
                 snr_db=(0.0,), diversity=(1, 3), values=[[0.1, 0.2]]
             )
+        # NaN passes no comparison, so it is refused as non-finite.
+        with pytest.raises(ValueError, match="entries"):
+            ProbabilityGrid(snr_db=(0.0,), diversity=(1,), values=[[math.nan]])
+        for axis in ((0.0, math.nan), (math.nan,), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="snr_db axis"):
+                ProbabilityGrid(
+                    snr_db=axis, diversity=(1,), values=[[0.1], [0.2]][: len(axis)]
+                )
 
 
 class TestDetectionParams:
