@@ -211,14 +211,12 @@ _SUMMARY_KEYS = (
 )
 
 
-def _summary_lines(
-    curves: Sequence[Tuple[str, SimConfig, BatchResult]]
-) -> List[str]:
+def _summary_lines(curves: Sequence[Tuple[str, BatchResult]]) -> List[str]:
     lines = [f"version={__version__}"]
-    for label, config, batch in curves:
+    for label, batch in curves:
         prefix = f"{label}." if label else ""
         lines.extend(
-            f"{prefix}{key}={_echo(getattr(config, key))}" for key in _SUMMARY_KEYS
+            f"{prefix}{key}={_echo(getattr(batch.config, key))}" for key in _SUMMARY_KEYS
         )
         lines.append(f"{prefix}jdr_final_mean={batch.jdr_final_mean:.6f}")
         lines.append(f"{prefix}jdr_final_se={batch.jdr_final_se():.6f}")
@@ -249,12 +247,12 @@ def run_experiment(
     far, and the one being written, are removed.
     """
     out_dir = Path(out_dir)
-    results: List[Tuple[str, SimConfig, BatchResult]] = []
+    results: List[Tuple[str, BatchResult]] = []
     with _removed_on_failure() as written:
         written.extend(export_grid(curves[0][1], out_dir))
         for label, config in curves:
             batch = run_batch(config, workers=workers)
-            results.append((label, config, batch))
+            results.append((label, batch))
             suffix = f"_{label}" if label else ""
             path = out_dir / f"metrics{suffix}.csv"
             written.append(path)

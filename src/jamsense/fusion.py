@@ -10,9 +10,11 @@ A node first fuses its own (channel, verdict) pair with the pairs it
 received from neighbours into a decision vector, then fuses its decision
 vector with its neighbours' decision vectors into a super-decision
 vector, which extends its information reach from one hop to two.  Both
-functions take sequences of ints, the node's own first: lists, or
-memoryview slices of integer arrays, as the engine passes each node its
-segment of `NeighborGraph.fuse_index`.  They return lists of ints.
+functions take the node's own input first and return lists of ints.
+`fuse_observations` takes sequences of ints: lists, or memoryview slices
+of integer arrays, as the engine passes each node its segment of
+`NeighborGraph.fuse_index`.  `fuse_decisions` takes decision rows; the
+engine does not call it, and it is the spec for `engine._super_rows`.
 """
 
 from __future__ import annotations

@@ -166,5 +166,8 @@ def read_back(part) -> None:
             continue
         back = _cast(tp, _echo(value), name)
         if back != value:
+            while type(value) is tuple:  # name the first entry that differs
+                i = next(i for i, (b, v) in enumerate(zip(back, value)) if b != v)
+                name, back, value = f"{name}[{i}]", back[i], value[i]
             raise ConfigError(f"{name}: expected {_brief(back)}, got {_brief(value)}")
         object.__setattr__(part, name, back)  # numpy scalars become Python ones

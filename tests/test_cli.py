@@ -99,20 +99,6 @@ class TestParseConfig:
         assert config.placement is None  # resolved to the two-ring default
         assert config.resolved_placement().n_nodes == 10
 
-    def test_epsilon_out_of_bounds_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="epsilon_n"):
-            parse_config(write_config(tmp_path, {"seed": 1, "epsilon_n": 1.5}))
-
-    def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown key 'sneaky'"):
-            parse_config(write_config(tmp_path, {"seed": 1, "sneaky": 2}))
-
-    def test_unknown_nested_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="detection"):
-            parse_config(
-                write_config(tmp_path, {"detection": {"lambda": 3.0}})
-            )
-
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text('{"seed": 1, "seed": 2}')
@@ -138,46 +124,20 @@ class TestParseConfig:
         assert len(record.chain_params) == 20
         assert record.truth.shape == (3, 20)
 
-    def test_placement_requires_nodes(self, tmp_path):
-        with pytest.raises(ConfigError, match="nodes"):
-            parse_config(
-                write_config(tmp_path, {"placement": {"range_km": 0.4}})
-            )
-
     @pytest.mark.parametrize(
         "data, field",
         [
             ({"qlearning": 3}, "config.json.qlearning"),
             ({"detection": 3}, "config.json.detection"),
-            ({"qlearning": {"epsilon": "x"}}, "qlearning.epsilon"),
-            ({"jammer_bounds": ["a", "b"]}, "jammer_bounds[0]"),
-            ({"use_super_decision": "false"}, "use_super_decision"),
-            ({"grid_lookup": "no"}, "grid_lookup"),
-            ({"n_wn": 2.7}, "n_wn"),
-            ({"seed": True}, "seed"),
-            ({"epsilon_n": "0.1"}, "epsilon_n"),
-            ({"fading": 3}, "fading"),
-            ({"false_alarm": {"awgn": {"one": 0.1}}}, "false_alarm.awgn"),
-            # Only canonical integer keys: these would alias "1", "10" and "2".
-            ({"false_alarm": {"awgn": {"1": 0.1, "01": 0.2}}}, "false_alarm.awgn"),
-            ({"false_alarm": {"awgn": {"1_0": 0.1}}}, "false_alarm.awgn"),
-            ({"false_alarm": {"awgn": {" 2": 0.1}}}, "false_alarm.awgn"),
-            (
-                {"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0.2, 0]], "jammer": [0]}},
-                "placement.jammer",
-            ),
             (
                 {"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0, 0]]}},
                 "config.json.placement.nodes[1]: sits on the jammer site",
             ),
-            ({"n_fb": 40000}, "n_fb"),
-            ({"n_wn": 40000}, "n_wn"),
             ({"qlearning": {"epsilon": 1.5}}, "config.json.qlearning"),
-            ({"seed": -1}, "seed"),
-            ({"seed": 2**64}, "seed"),
         ],
     )
     def test_malformed_value_names_field(self, tmp_path, data, field):
+        """A refusal read from a file names the file as its root."""
         with pytest.raises(ConfigError) as excinfo:
             parse_config(write_config(tmp_path, data))
         message = str(excinfo.value)
@@ -265,9 +225,9 @@ def _wrong_values(leaf, path):
     if type(leaf) is int:
         return [(1.5, True), (True, True), ("1", True), (None, True)]
     if type(leaf) is bool:
-        return [(1, True)]
+        return [(1, True), ("false", True)]
     if type(leaf) is str:  # an enum: JSON's own form is the bare value
-        return [(leaf, False), (leaf.upper(), True)]
+        return [(leaf, False), (leaf.upper(), True), (3, True)]
     # A pair: JSON's own form is a list, which reads back as a tuple.
     return [(leaf, False)]
 
@@ -279,7 +239,7 @@ def _dotted(path):
 def test_every_leaf_refuses_a_wrong_kind_at_both_doors():
     """Each leaf of the default echo, given a value of the wrong kind, is
     refused by config_from_dict naming its path and by the Python
-    constructors naming its field."""
+    constructors naming its path relative to the part that raises it."""
     base = SimConfig(placement=SimConfig().resolved_placement())
     checked = 0
     for path in _key_paths(_DEFAULT_ECHO):
@@ -288,7 +248,8 @@ def test_every_leaf_refuses_a_wrong_kind_at_both_doors():
             leaf = leaf[key]
         if isinstance(leaf, dict) or (isinstance(leaf, list) and isinstance(leaf[0], list)):
             continue  # a part, or the node list: its leaves are checked
-        field = [k for k in path if isinstance(k, str) and not k.isdigit()][-1]
+        # The innermost part starts at the last field name: nodes[0][0], awgn.1.
+        start = max(i for i, k in enumerate(path) if isinstance(k, str) and not k.isdigit())
         for value, json_refuses in _wrong_values(leaf, path):
             if json_refuses:
                 data = copy.deepcopy(_DEFAULT_ECHO)
@@ -299,8 +260,9 @@ def test_every_leaf_refuses_a_wrong_kind_at_both_doors():
                 with pytest.raises(ConfigError) as exc:
                     config_from_dict(data)
                 assert str(exc.value).startswith(f"config.{_dotted(path)}:"), path
-            with pytest.raises(ValueError, match=field) as exc:
+            with pytest.raises(ConfigError) as exc:
                 SimConfig(**{path[0]: _replaced(getattr(base, path[0]), path[1:], value)})
+            assert str(exc.value).startswith(f"{_dotted(path[start:])}:"), (path, value)
             checked += 1
     assert checked > 100
 
@@ -384,10 +346,40 @@ def test_every_ranged_leaf_refuses_past_its_bounds_at_both_doors():
     }
 
 
-# Each refusal beyond the typing rules: (JSON config, the path config_from_dict
-# names, a Python build, the path it names relative to the part that raises it,
-# the refusal's detail).  A missing or unknown keyword is Python's own TypeError.
+# Each refusal beyond the wrong-kind and range walks, of a value's shape or of a
+# rule: (JSON config, the path config_from_dict names, a Python build, the path
+# it names relative to the part that raises it, the refusal's detail).  A JSON
+# config of None marks an input JSON cannot express; a missing or unknown
+# keyword is Python's own TypeError.
 _RULE_REFUSALS = {
+    "scalar for a part": ({"detection": 3}, "detection", lambda: SimConfig(detection=3),
+                          "detection", "expected an object, got 3"),
+    "scalar for a pair": ({"placement": {"nodes": [[0.3, 0.0]], "jammer": 0.5}},
+                          "placement.jammer",
+                          lambda: Placement(((0.3, 0.0),), jammer=0.5), "jammer",
+                          "expected a list, got 0.5"),
+    "one-entry pair": ({"n_wn": 2, "placement": {"nodes": [[0.1, 0], [0.2, 0]], "jammer": [0]}},
+                       "placement.jammer",
+                       lambda: Placement(((0.1, 0.0), (0.2, 0.0)), jammer=(0.0,)), "jammer",
+                       "expected 2 entries"),
+    "scalar for a node": ({"placement": {"nodes": [0.3, 0.0]}}, "placement.nodes[0]",
+                          lambda: Placement((0.3, 0.0)), "nodes[0]",
+                          "expected a list, got 0.3"),
+    "list of node lists": (None, None, lambda: Placement([[0.3, 0.0]]), "nodes",
+                           "expected ((0.3, 0.0),), got [[0.3, 0.0]]"),
+    # Only canonical integer keys: "01", "1_0" and " 2" would alias "1", "10" and "2".
+    **{
+        f"false-alarm key {key!r}": (
+            {"false_alarm": {"awgn": {"1": 0.1, key: 0.2}}}, "false_alarm.awgn",
+            lambda key=key: FalseAlarmTable(awgn={1: 0.1, key: 0.2}), "awgn",
+            f"key {key!r} is not an integer",
+        )
+        for key in ("one", "01", "1_0", " 2", "a")
+    },
+    "false-alarm key True": (None, None, lambda: FalseAlarmTable(awgn={True: 0.1}), "awgn",
+                             "key 'True' is not an integer"),
+    "unknown top-level key": ({"seed": 1, "sneaky": 2}, "", lambda: SimConfig(sneaky=2), None,
+                              "unknown key 'sneaky'"),
     "odd n_samples": ({"detection": {"n_samples": 7}}, "detection.n_samples",
                       lambda: DetectionParams(n_samples=7), "n_samples", "must be even"),
     "empty false-alarm table": ({"false_alarm": {"awgn": {}}}, "false_alarm.awgn",
@@ -416,9 +408,18 @@ _RULE_REFUSALS = {
                          "placement.nodes[0]",
                          lambda: SimConfig(n_wn=1, placement=Placement(((0.0, 0.0),))),
                          "placement.nodes[0]", "sits on the jammer site (0.0, 0.0)"),
+    "node 1 on the site": ({"n_wn": 2, "placement": {"nodes": [[0.1, 0.0], [0.0, 0.0]]}},
+                           "placement.nodes[1]",
+                           lambda: SimConfig(n_wn=2, placement=Placement(
+                               ((0.1, 0.0), (0.0, 0.0)))),
+                           "placement.nodes[1]", "sits on the jammer site (0.0, 0.0)"),
     "node SNR": ({"detection": {"sigma2": 5e-324}}, "placement.nodes[0]",
                  lambda: SimConfig(detection=DetectionParams(sigma2=5e-324)),
                  "placement.nodes[0]", "jammer SNR at inf dB is outside the range"),
+    "node 1 SNR": ({"n_wn": 2, "placement": {"nodes": [[0.1, 0.0], [1e-300, 0.0]]}},
+                   "placement.nodes[1]",
+                   lambda: SimConfig(n_wn=2, placement=Placement(((0.1, 0.0), (1e-300, 0.0)))),
+                   "placement.nodes[1]", "jammer SNR at inf dB is outside the range"),
     "Rayleigh threshold": ({"fading": "rayleigh", "detection": {"threshold": 1e5}},
                            "detection.threshold",
                            lambda: SimConfig(fading=FadingKind.RAYLEIGH,
@@ -429,6 +430,13 @@ _RULE_REFUSALS = {
                           "grid_snr_max_db",
                           lambda: SimConfig(grid_snr_max_db=96.9, grid_snr_step_db=0.6),
                           "grid_snr_max_db", "the grid's last point at 97.2 dB"),
+    "grid end overflows": ({"grid_snr_min_db": 1e300, "grid_snr_max_db": 1e300},
+                           "grid_snr_max_db",
+                           lambda: SimConfig(grid_snr_min_db=1e300, grid_snr_max_db=1e300),
+                           "grid_snr_max_db", "the grid's last point at inf dB"),
+    "grid_m_max past the entry bound": ({"grid_m_max": 10**9}, "grid_m_max",
+                                        lambda: SimConfig(grid_m_max=10**9), "grid_m_max",
+                                        "grid_m_max=1000000000 exceeds 10000 entries"),
 }
 
 
@@ -438,10 +446,12 @@ _RULE_REFUSALS = {
 def test_every_rule_refusal_starts_with_its_leaf_path_at_both_doors(
     data, path, build, relative, detail
 ):
-    with pytest.raises(ConfigError) as exc:
-        config_from_dict(data)
-    assert str(exc.value).startswith(f"config.{path}: "), str(exc.value)
-    assert detail in str(exc.value)
+    if data is not None:
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(data)
+        prefix = f"config.{path}" if path else "config"
+        assert str(exc.value).startswith(f"{prefix}: "), str(exc.value)
+        assert detail in str(exc.value)
     if relative is None:
         with pytest.raises(TypeError):
             build()

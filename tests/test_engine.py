@@ -31,7 +31,7 @@ from jamsense.network import (
     build_neighbor_graph,
     default_placement,
 )
-from jamsense.policies import PolicyKind, QParams
+from jamsense.policies import PolicyKind
 from jamsense.schema import ConfigError
 from jamsense.sensing import (
     DetectionParams,
@@ -514,116 +514,6 @@ def test_check_tables_covers_tables_the_run_does_not_build():
     config.check_tables(FadingKind.AWGN)
     with pytest.raises(ValueError, match="detection.threshold"):
         config.check_tables(*FadingKind)
-
-
-def test_replace_revalidates():
-    with pytest.raises(ValueError, match="n_wn"):
-        dataclasses.replace(SimConfig(), n_wn=0)
-
-
-def test_config_validation_errors():
-    with pytest.raises(ValueError):
-        SimConfig(n_wn=0)
-    with pytest.raises(ValueError):
-        SimConfig(n_fb=0)
-    with pytest.raises(ValueError):
-        SimConfig(horizon=0)
-    with pytest.raises(ValueError):
-        SimConfig(epsilon_n=1.5)
-    with pytest.raises(ValueError):
-        SimConfig(jammer_bounds=(0.9, 0.8))
-    with pytest.raises(ValueError):
-        SimConfig(replications=0)
-    from jamsense.network import Placement
-
-    with pytest.raises(ValueError):
-        SimConfig(placement=Placement(nodes=((0, 0),)))
-
-
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        (dict(n_wn=32768), "n_wn"),
-        (dict(n_fb=32768), "n_fb"),
-        (
-            dict(n_wn=2, placement=Placement(nodes=((0.1, 0.0), (0.0, 0.0)))),
-            r"^placement\.nodes\[1\]: sits on the jammer site",
-        ),
-        (
-            dict(n_wn=2, placement=Placement(nodes=((0.1, 0.0), (1e-300, 0.0)))),
-            r"^placement\.nodes\[1\]: jammer SNR",
-        ),
-        (dict(detection=DetectionParams(sigma2=5e-324)), r"^placement\.nodes\[0\]:"),
-        (
-            dict(fading=FadingKind.RAYLEIGH, detection=DetectionParams(threshold=1e5)),
-            "threshold/sigma2",
-        ),
-        (dict(grid_snr_min_db=1e300, grid_snr_max_db=1e300), "grid_snr_max_db"),
-        (dict(grid_snr_step_db=1e-3), "detection grid"),
-        (dict(grid_m_max=10**9), "detection grid"),
-        # The axis' last point is 97.2 dB (162 steps of 0.6), not 96.9 dB.
-        (dict(grid_snr_max_db=96.9, grid_snr_step_db=0.6), "grid_snr_max_db"),
-        # A non-finite grid bound is refused by name, before inf - inf
-        # could make a NaN point count.
-        (dict(grid_snr_min_db=math.inf, grid_snr_max_db=math.inf), "grid_snr_min_db"),
-        # Non-finite values, refused where their part is built: a callable
-        # builds the arguments inside the check.
-        (lambda: dict(placement=Placement(((0.3, 0.0),), range_km=math.nan)), "range_km"),
-        (lambda: dict(placement=Placement(((0.3, 0.0),), d0_km=math.nan)), "d0_km"),
-        (lambda: dict(detection=DetectionParams(threshold=math.nan)), "threshold"),
-        (lambda: dict(detection=DetectionParams(threshold=math.inf)), "threshold"),
-        # Values JSON would refuse, refused by the Python constructor too,
-        # naming the field's path.
-        (dict(fading="awgn"), "fading"),
-        (dict(policy="uniform"), "policy"),
-        (dict(seed=1.5), "seed"),
-        (dict(n_fb=10.5), "n_fb"),
-        (dict(grid_m_max=6.5), "grid_m_max"),
-        (dict(horizon=True), "horizon"),
-        (dict(jammer_bounds=[0.85, 0.98]), "jammer_bounds"),
-        (dict(grid_snr_step_db=math.nan), "grid_snr_step_db"),
-        # A part types its own fields when it is built, so a wrong kind
-        # inside a part is refused there, naming the field.
-        (lambda: dict(detection=DetectionParams(sigma2=math.inf)), "^sigma2:"),
-        (lambda: dict(detection=DetectionParams(noncentrality=math.inf)), "^noncentrality:"),
-        (lambda: dict(placement=Placement(((0.3, 0.0),), path_loss_exponent=math.nan)),
-         "^path_loss_exponent:"),
-        (lambda: dict(placement=Placement(((0.3, 0.0),), jammer_power_db=-math.inf)),
-         "^jammer_power_db:"),
-        (lambda: dict(placement=Placement(((math.nan, 0.0),))), r"^nodes\[0\]\[0\]:"),
-        (lambda: dict(false_alarm=FalseAlarmTable(awgn={True: 0.1})), "^awgn: key 'True'"),
-        # Coordinates are typed by the schema alone: a scalar is not a pair,
-        # and a list is not the tuple its echo reads back as.
-        (lambda: dict(placement=Placement(((0.3, 0.0),), jammer=0.5)),
-         "^jammer: expected a list"),
-        (lambda: dict(placement=Placement((0.3, 0.0))), r"^nodes\[0\]: expected a list"),
-        (lambda: dict(placement=Placement([[0.3, 0.0]])), "^nodes: expected"),
-    ],
-)
-def test_config_validation_names_the_field(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        SimConfig(**(kwargs() if callable(kwargs) else kwargs))
-
-
-@pytest.mark.parametrize(
-    "build, message",
-    [
-        (lambda: Placement(((0.3, 0.0),), range_km="0.45"), "range_km: expected a finite"),
-        (lambda: Placement(((0.3, 0.0),), d0_km=None), "d0_km: expected a finite"),
-        (lambda: Placement(((0.3, 0.0),), jammer=("a", 0.0)), r"jammer\[0\]: expected a"),
-        (lambda: Placement(()), "nodes: a placement needs at least one node"),
-        (lambda: DetectionParams(sigma2="1"), "sigma2: expected a finite"),
-        (lambda: QParams(epsilon=None), "epsilon: expected a finite"),
-        (lambda: FalseAlarmTable(awgn={1: "0.5"}), r"awgn\.1: expected a finite"),
-        (lambda: FalseAlarmTable(awgn={1: 0.5, "a": 0.25}), "awgn: key 'a' is not an"),
-        (lambda: FalseAlarmTable(awgn={0: 0.5}), r"awgn\.0: diversity order must be >= 1"),
-    ],
-)
-def test_each_part_refuses_by_field_name(build, message):
-    # Each part types its own fields when built, so a wrong kind is a
-    # ConfigError naming the field, never a TypeError from a range check.
-    with pytest.raises(ConfigError, match="^" + message):
-        build()
 
 
 def test_standalone_placement_reads_coordinates_back_as_floats():
