@@ -236,35 +236,46 @@ def _dotted(path):
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
 
 
-def test_every_leaf_refuses_a_wrong_kind_at_both_doors():
+def _leaf(path):
+    leaf = _DEFAULT_ECHO
+    for key in path:
+        leaf = leaf[key]
+    return leaf
+
+
+# Every leaf of the default echo; a part, or the node list, is walked through its leaves.
+_LEAVES = [
+    path for path in _key_paths(_DEFAULT_ECHO)
+    if not isinstance(_leaf(path), dict)
+    and not (isinstance(_leaf(path), list) and isinstance(_leaf(path)[0], list))
+]
+
+
+@pytest.mark.parametrize("path", _LEAVES, ids=_dotted)
+def test_every_leaf_refuses_a_wrong_kind_at_both_doors(path):
     """Each leaf of the default echo, given a value of the wrong kind, is
     refused by config_from_dict naming its path and by the Python
     constructors naming its path relative to the part that raises it."""
     base = SimConfig(placement=SimConfig().resolved_placement())
+    # The innermost part starts at the last field name: nodes[0][0], awgn.1.
+    start = max(i for i, k in enumerate(path) if isinstance(k, str) and not k.isdigit())
     checked = 0
-    for path in _key_paths(_DEFAULT_ECHO):
-        leaf = _DEFAULT_ECHO
-        for key in path:
-            leaf = leaf[key]
-        if isinstance(leaf, dict) or (isinstance(leaf, list) and isinstance(leaf[0], list)):
-            continue  # a part, or the node list: its leaves are checked
-        # The innermost part starts at the last field name: nodes[0][0], awgn.1.
-        start = max(i for i, k in enumerate(path) if isinstance(k, str) and not k.isdigit())
-        for value, json_refuses in _wrong_values(leaf, path):
-            if json_refuses:
-                data = copy.deepcopy(_DEFAULT_ECHO)
-                parent = data
-                for key in path[:-1]:
-                    parent = parent[key]
-                parent[path[-1]] = value
-                with pytest.raises(ConfigError) as exc:
-                    config_from_dict(data)
-                assert str(exc.value).startswith(f"config.{_dotted(path)}:"), path
+    for value, json_refuses in _wrong_values(_leaf(path), path):
+        if json_refuses:
+            data = copy.deepcopy(_DEFAULT_ECHO)
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
             with pytest.raises(ConfigError) as exc:
-                SimConfig(**{path[0]: _replaced(getattr(base, path[0]), path[1:], value)})
-            assert str(exc.value).startswith(f"{_dotted(path[start:])}:"), (path, value)
-            checked += 1
-    assert checked > 100
+                config_from_dict(data)
+            assert str(exc.value).startswith(f"config.{_dotted(path)}:"), path
+        with pytest.raises(ConfigError) as exc:
+            SimConfig(**{path[0]: _replaced(getattr(base, path[0]), path[1:], value)})
+        assert str(exc.value).startswith(f"{_dotted(path[start:])}:"), (path, value)
+        checked += 1
+    assert checked
+    assert sum(len(_wrong_values(_leaf(p), p)) for p in _LEAVES) > 100
 
 
 def _declared(path):
