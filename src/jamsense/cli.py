@@ -317,6 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cli_config(data: Dict, where: str) -> SimConfig:
+    """A config the CLI reads, refused also unless both detection tables
+    cover its grid, since `run` and `export-grid` write both.  The refusal
+    starts with `where`, as a config leaf's does."""
+    config = config_from_dict(data, where)
+    try:
+        config.check_tables(*FadingKind)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}")
+    return config
+
+
 def _curves_for(args: argparse.Namespace) -> List[Tuple[str, SimConfig]]:
     """One (label, config) per curve; flags override preset or file keys."""
     overrides = {
@@ -330,12 +342,12 @@ def _curves_for(args: argparse.Namespace) -> List[Tuple[str, SimConfig]]:
         base = PRESETS[args.preset][1]
         where = f"preset {args.preset}"
         return [
-            (label, config_from_dict({**base, **deltas, **overrides}, where))
+            (label, _cli_config({**base, **deltas, **overrides}, where))
             for label, deltas in _POLICY_CURVES
         ]
     data = _read_json(args.config) if args.config else {}
     where = str(args.config or "command line")
-    return [("", config_from_dict({**data, **overrides}, where))]
+    return [("", _cli_config({**data, **overrides}, where))]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -346,7 +358,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"{name}: {description}")
             return 0
         if args.command == "export-grid":
-            config = parse_config(args.config) if args.config else SimConfig()
+            config = (
+                _cli_config(_read_json(args.config), str(args.config))
+                if args.config
+                else SimConfig()
+            )
             for path in export_grid(config, args.out):
                 print(f"wrote {path}")
             return 0

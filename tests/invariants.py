@@ -1,12 +1,12 @@
-"""Structural per-step invariants recomputed from a full run record.
+"""The spec replay of a run record: every logged array rebuilt and compared whole.
 
-Used by the engine tests and the acceptance property suite: every check
-reconstructs the quantity independently (from actions, the neighbour rows
-of `oracles.neighbor_rows_loop`, and raw observations) and compares
-against what the engine recorded, so the engine's own graph is checked
-too.  The jammer truth, the sensing verdicts, the policy's actions
-and the transmit channels are replayed step by step from fresh
-substreams through the spec functions and the detection tables.
+Used by the engine tests, the differential test and the acceptance property
+suite.  Each stage rebuilds one logged array from the record's own logged
+inputs through the spec functions and the detection tables, replaying each
+substream from a fresh generator, and compares it once with what the engine
+logged.  A stage reads the logs, not another stage's replay, so a failure
+names the stage at fault.  Neighbour rows come from
+`oracles.neighbor_rows_loop`, so the engine's own graph is checked too.
 """
 
 from __future__ import annotations
@@ -46,101 +46,67 @@ from oracles import edges_loop, neighbor_rows_loop
 
 
 def check_structural_invariants(record: RunRecord) -> int:
-    """Raise AssertionError on any violation; return the number of checks."""
+    """Raise AssertionError unless every logged array equals its spec replay;
+    return the number of entries compared."""
     config = record.config
     neighbors = neighbor_rows_loop(config.resolved_placement())
-    assert record.graph.edges() == edges_loop(neighbors)
-    n, n_fb = config.n_wn, config.n_fb
-    vacant, occupied = int(Belief.VACANT), int(Belief.OCCUPIED)
-    checks = 1
+    edges = edges_loop(neighbors)
+    assert record.graph.edges() == edges, "graph edges"
+    chains = init_chains(config.n_fb, config.jammer_bounds, record.run_seed)
+    chain_params = tuple((c.stay_idle, c.stay_active, c.active) for c in chains)
+    assert record.chain_params == chain_params, "chain_params"
+    snr_db, p_d = spec_detection(config)
+    assert record.snr_db == tuple(snr_db.tolist()), "snr_db"
+    assert (record.supers is None) == (not config.use_super_decision), "supers"
 
-    for t in range(len(record)):
-        actions = record.actions[t]
-        observations = record.observations[t]
+    entries = len(edges) + len(chain_params) + len(snr_db)
+    # The chains step together, once per step after the first.
+    truth = [[c.active for c in chains]]
+    truth += [[step_chain(c) for c in chains] for _ in range(len(record) - 1)]
+    entries += _compare("truth", record.truth, truth)
+    cohorts, observations = _replay_sensing(record, neighbors, p_d)
+    entries += _compare("cohorts", record.cohorts, cohorts)
+    entries += _compare("observations", record.observations, observations)
 
-        # One sensing action per node per step, always a valid channel.
-        assert actions.shape == (n,)
-        assert np.all((actions >= 0) & (actions < n_fb))
-        assert np.all(
-            (observations == Belief.VACANT) | (observations == Belief.OCCUPIED)
-        )
-        checks += 1
-
-        # Decision vectors equal OR fusion of this step's observations.
-        # Each node's inputs: itself, then its neighbours.
-        members = [(i, *neighbors[i]) for i in range(n)]
-        channels, verdicts = actions.tolist(), observations.tolist()
-        own = [
-            fuse_observations([channels[j] for j in m], [verdicts[j] for j in m], n_fb)
+    # Each node fuses itself, then its neighbours, in both fusion stages.
+    members = [[i, *neighbors[i]] for i in range(config.n_wn)]
+    actions, verdicts = record.actions.tolist(), record.observations.tolist()
+    decisions = [
+        [
+            fuse_observations([a[j] for j in m], [v[j] for j in m], config.n_fb)
             for m in members
         ]
-        for i in range(n):
-            assert np.array_equal(record.decisions[t, i], own[i])
-            checks += 1
+        for a, v in zip(actions, verdicts)
+    ]
+    entries += _compare("decisions", record.decisions, decisions)
+    if record.supers is not None:
+        supers = [[fuse_decisions(d[m]) for m in members] for d in record.decisions]
+        entries += _compare("supers", record.supers, supers)
 
-        # Super vectors equal OR fusion of this step's decision vectors.
-        if record.supers is not None:
-            for i in range(n):
-                expected = fuse_decisions([own[j] for j in members[i]])
-                assert np.array_equal(record.supers[t, i], expected)
-                checks += 1
-
-        # Transmission rules: at most one per node; only on channels the
-        # governing vector marks vacant; skip exactly when no candidate;
-        # outcome consistent with ground truth.  Each row is read once as a
-        # Python list: comparing numpy scalars one channel at a time used to
-        # cost most of this function.
-        governing = record.supers if record.supers is not None else record.decisions
-        truth = record.truth[t].tolist()
-        for beliefs, channel, outcome in zip(
-            governing[t].tolist(),
-            record.transmits[t].tolist(),
-            record.outcomes[t].tolist(),
-        ):
-            cands = [c for c in range(n_fb) if beliefs[c] == vacant]
-            if channel < 0:
-                assert outcome == SKIPPED
-                assert not cands
-            else:
-                assert outcome in (SUCCESSFUL, JAMMED)
-                assert beliefs[channel] == vacant
-                assert channel in cands
-                assert (outcome == JAMMED) == bool(truth[channel])
-            checks += 1
-
-        # Sticky rule of the pseudo-random policy: a jammer observation
-        # forces the same channel next step.
-        if config.policy is PolicyKind.PSEUDO_RANDOM and t + 1 < len(record):
-            for i in range(n):
-                if observations[i] == occupied:
-                    assert record.actions[t + 1, i] == actions[i]
-                    checks += 1
-    return (
-        checks
-        + _check_truth_replay(record)
-        + _check_sensing_replay(record, neighbors)
-        + _check_policy_replay(record, neighbors)
-        + _check_transmit_replay(record)
-    )
+    entries += _compare("actions", record.actions, _replay_actions(record, neighbors))
+    governing = record.decisions if record.supers is None else record.supers
+    transmits = _replay_transmits(record, governing)
+    entries += _compare("transmits", record.transmits, transmits)
+    # Skipped without a transmit; otherwise jammed exactly when the chosen
+    # channel's jammer is active.
+    outcomes = [
+        [SKIPPED if c < 0 else JAMMED if active[c] else SUCCESSFUL for c in row]
+        for active, row in zip(record.truth.tolist(), record.transmits.tolist())
+    ]
+    return entries + _compare("outcomes", record.outcomes, outcomes)
 
 
-def _check_truth_replay(record: RunRecord) -> int:
-    """Replay every jammer chain from its own fresh substream; return the checks.
+def _compare(name: str, logged: np.ndarray, spec) -> int:
+    """Assert that a logged array equals its spec replay; return its size.
 
-    The chains step together, once per step after the first, as in the
-    model's time line.
+    A mismatch names the array, its first differing index and both values.
     """
-    config = record.config
-    chains = init_chains(config.n_fb, config.jammer_bounds, record.run_seed)
-    assert record.chain_params == tuple(
-        (c.stay_idle, c.stay_active, c.active) for c in chains
-    )
-    for t in range(len(record)):
-        if t > 0:
-            for chain in chains:
-                step_chain(chain)
-        assert record.truth[t].tolist() == [c.active for c in chains], t
-    return 1 + len(record)
+    spec = np.asarray(spec)
+    assert logged.shape == spec.shape, f"{name}: {logged.shape}, spec {spec.shape}"
+    differ = np.argwhere(logged != spec)
+    at = tuple(differ[0].tolist()) if len(differ) else None
+    assert at is None, f"{name}{list(at)}: logged {logged[at]}, spec {spec[at]}"
+    return logged.size
 
 
 def spec_detection(config: SimConfig) -> Tuple[np.ndarray, Callable[[int, int], float]]:
@@ -171,8 +137,8 @@ def spec_detection(config: SimConfig) -> Tuple[np.ndarray, Callable[[int, int], 
     return snr_db, lambda i, m: p_d_rayleigh_single(params, snr[i])
 
 
-def _check_sensing_replay(record: RunRecord, neighbors: tuple) -> int:
-    """Replay every cohort and verdict on a fresh sensing stream; return the checks.
+def _replay_sensing(record: RunRecord, neighbors: tuple, p_d: Callable) -> tuple:
+    """Every cohort size and verdict, on a fresh sensing stream.
 
     Each step draws `random(n_fb)` with a shared draw, where a node reads
     its channel's value, and `random(n)` otherwise, where node i reads value
@@ -186,84 +152,74 @@ def _check_sensing_replay(record: RunRecord, neighbors: tuple) -> int:
     config = record.config
     n, n_fb = config.n_wn, config.n_fb
     awgn = config.fading is FadingKind.AWGN
-    snr_db, p_d = spec_detection(config)
-    assert record.snr_db == tuple(snr_db.tolist())
+    vacant, occupied = int(Belief.VACANT), int(Belief.OCCUPIED)
     # Exact AWGN values cost a Marcum Q series each; compute each (i, m) once.
     p_d = functools.lru_cache(maxsize=None)(p_d)
-
     rng = rngmod.substream(record.run_seed, rngmod.SENSING)
-    checks = 0
-    for t in range(len(record)):
+    cohorts, observations = [], []
+    for actions, truth in zip(record.actions.tolist(), record.truth.tolist()):
         draws = rng.random(n_fb if config.shared_draw else n).tolist()
-        actions = record.actions[t].tolist()
+        sizes, verdicts = [], []
         for i, channel in enumerate(actions):
             if config.global_cohort:
                 cohort = [j for j in range(n) if actions[j] == channel]
             else:
                 cohort = [i] + [j for j in neighbors[i] if actions[j] == channel]
             m = len(cohort)
-            assert record.cohorts[t, i] == m, (t, i)
-            if not record.truth[t, channel]:
+            if not truth[channel]:
                 p = false_alarm_probability(config.false_alarm, config.fading, m)
             elif awgn:
                 p = p_d(i, m)
             else:
                 p = -math.expm1(sum(math.log1p(-p_d(j, 1)) for j in cohort))
             u = draws[channel] if config.shared_draw else draws[i]
-            expected = Belief.OCCUPIED if u < p else Belief.VACANT
-            assert record.observations[t, i] == expected, (t, i)
-            checks += 1
-    return checks
+            sizes.append(m)
+            verdicts.append(occupied if u < p else vacant)
+        cohorts.append(sizes)
+        observations.append(verdicts)
+    return cohorts, observations
 
 
-def _check_transmit_replay(record: RunRecord) -> int:
-    """Replay every transmit choice on a fresh transmit stream; return the checks.
+def _replay_transmits(record: RunRecord, governing: np.ndarray) -> list:
+    """Every transmit channel, on a fresh transmit stream.
 
     In (step, node) order, a node with candidates draws one of them
-    uniformly from its governing row; a node with none skips and draws
+    uniformly from its governing row; a node with none skips (-1) and draws
     nothing.
     """
     rng = rngmod.substream(record.run_seed, rngmod.TRANSMIT)
-    governing = record.supers if record.supers is not None else record.decisions
-    checks = 0
-    for t in range(len(record)):
-        for i, beliefs in enumerate(governing[t].tolist()):
-            cands = candidate_channels(beliefs)
-            expected = cands[rng.integers(len(cands))] if cands else -1
-            assert record.transmits[t, i] == expected, (t, i)
-            checks += 1
-    return checks
+    transmits = []
+    for rows in governing.tolist():
+        cands = [candidate_channels(beliefs) for beliefs in rows]
+        transmits.append([c[rng.integers(len(c))] if c else -1 for c in cands])
+    return transmits
 
 
-def _check_policy_replay(record: RunRecord, neighbors: tuple) -> int:
-    """Replay the policy functions on a fresh policy stream; return the checks.
+def _replay_actions(record: RunRecord, neighbors: tuple) -> list:
+    """Every action, on a fresh policy stream.
 
-    Every action the record holds must be what the policy spec returns for
-    the recorded step, with each node's neighbour channels read from its
-    neighbour list.
-    Under q-learning each node's values are updated, from its own reward
-    and then its neighbours', before any node picks.
+    The first step's actions are uniform draws; each later step's are what
+    the policy spec returns for the recorded step before, with each node's
+    neighbour channels read from its neighbour list.  Under q-learning each
+    node's values are updated, from its own reward and then its
+    neighbours', before any node picks.
     """
     config = record.config
     n, n_fb = config.n_wn, config.n_fb
     rng = rngmod.substream(record.run_seed, rngmod.POLICY)
-    assert np.array_equal(rng.integers(0, n_fb, size=n), record.actions[0])
+    expected = [rng.integers(0, n_fb, size=n).tolist()]
     q, table = config.qlearning, np.zeros((n, n_fb))
     occupied = int(Belief.OCCUPIED)
-    checks = 1
-    for t in range(len(record) - 1):
-        actions = record.actions[t].tolist()
-        observations = record.observations[t].tolist()
-        next_actions = record.actions[t + 1].tolist()
+    steps = zip(record.actions[:-1].tolist(), record.observations[:-1].tolist())
+    for actions, observations in steps:
         if config.policy is PolicyKind.QLEARNING:
             rewards = [1.0 if o == occupied else 0.0 for o in observations]
             for i in range(n):
-                update_q(q, table[i], actions[i], rewards[i])
-                for j in neighbors[i]:
+                for j in (i, *neighbors[i]):
                     update_q(q, table[i], actions[j], rewards[j])
-        for i in range(n):
-            if config.policy is PolicyKind.PSEUDO_RANDOM:
-                choice = choose_action_pseudo_random(
+        if config.policy is PolicyKind.PSEUDO_RANDOM:
+            choices = [
+                choose_action_pseudo_random(
                     actions[i],
                     observations[i],
                     [actions[j] for j in neighbors[i]],
@@ -271,10 +227,11 @@ def _check_policy_replay(record: RunRecord, neighbors: tuple) -> int:
                     rng,
                     config.epsilon_n,
                 )
-            elif config.policy is PolicyKind.UNIFORM:
-                choice = choose_action_uniform(n_fb, rng)
-            else:
-                choice = choose_action_qlearning(table[i], q, rng)
-            assert choice == next_actions[i], (t, i)
-            checks += 1
-    return checks
+                for i in range(n)
+            ]
+        elif config.policy is PolicyKind.UNIFORM:
+            choices = [choose_action_uniform(n_fb, rng) for _ in range(n)]
+        else:
+            choices = [choose_action_qlearning(table[i], q, rng) for i in range(n)]
+        expected.append(choices)
+    return expected

@@ -827,8 +827,12 @@ class TestMain:
             ({}, ["--replications", "0"], "replications"),
             ({}, ["--n-fb", "40000"], "n_fb"),
             (None, ["--preset", "tsr-local", "--horizon", "0"], "horizon"),
-            ({"detection": {"threshold": 1e6}}, [], "detection.threshold"),
-            ({"fading": "rayleigh", "grid_snr_max_db": 120.0}, [], "grid_snr_max_db"),
+            ({"detection": {"threshold": 1e6}}, [], "config.json.detection.threshold:"),
+            (
+                {"fading": "rayleigh", "grid_snr_max_db": 120.0},
+                [],
+                "config.json.grid_snr_max_db:",
+            ),
             # The axis rounds to 162 steps of 0.6 dB: its last point is 97.2 dB,
             # past the AWGN range that 96.9 dB is still inside.
             (
@@ -841,7 +845,7 @@ class TestMain:
                 {"fading": "rayleigh", "grid_snr_max_db": 96.9,
                  "grid_snr_step_db": 0.6, "replications": 1, "horizon": 2},
                 [],
-                "grid_snr_max_db",
+                "config.json.grid_snr_max_db:",
             ),
             # A preset runs one curve per policy, so --policy would mislabel them.
             (None, ["--preset", "jdr-awgn", "--policy", "uniform"], "--policy"),
@@ -911,7 +915,7 @@ class TestMain:
         assert main([command, "--out", str(out), "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
-        assert "detection.threshold" in err
+        assert "config.json.detection.threshold:" in err
         assert not out.exists()
         assert batches == []
 
@@ -976,7 +980,7 @@ class TestMain:
         assert main(["export-grid", "--config", str(cfg), "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
-        assert "detection.threshold" in err
+        assert "config.json.detection.threshold:" in err
         assert not out_dir.exists()
 
 
