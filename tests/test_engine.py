@@ -182,6 +182,30 @@ def test_transmission_counts_match_brute_force():
         )
 
 
+def test_structural_invariants_default_config():
+    record = run(SimConfig(horizon=60, seed=29, replications=1))
+    assert check_structural_invariants(record) > 0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"policy": PolicyKind.UNIFORM},
+        {"policy": PolicyKind.QLEARNING},
+        {"fading": FadingKind.RAYLEIGH},
+        {"use_super_decision": False},
+        {"shared_draw": False},
+        {"global_cohort": True},
+        {"n_wn": 1, "n_fb": 3},
+        {"n_fb": 1},
+        {"n_fb": 17, "fading": FadingKind.RAYLEIGH, "grid_lookup": False},
+    ],
+)
+def test_structural_invariants_fuzzed(overrides):
+    config = SimConfig(horizon=40, seed=31, replications=1, **overrides)
+    assert check_structural_invariants(run(config)) > 0
+
+
 @pytest.mark.parametrize("grid_lookup", [True, False])
 @pytest.mark.parametrize("fading", list(FadingKind), ids=lambda kind: kind.value)
 def test_zero_snr_node_runs_without_warnings(fading, grid_lookup):
