@@ -16,7 +16,8 @@ jammer; the transmission success rate (TSR) counts successful over
 attempted transmissions, with skipped node-steps excluded.
 
 A run is fully determined by its seed; batches of replications may
-execute in parallel since every replication owns its entire world state.
+execute in parallel since every replication owns its entire mutable world
+state (the read-only detection tables are shared within a process).
 Only sensing and channel selection feed the next step, so a run is
 evaluated in three parts: the jammer truth for the whole run, chain by
 chain; a closed loop over steps that senses and picks the next actions;
@@ -27,6 +28,7 @@ same order as in a step-by-step evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -51,7 +53,6 @@ from .policies import (
     choose_action_pseudo_random,
     choose_action_qlearning,
     choose_action_uniform,
-    update_q,
 )
 from .schema import ConfigError, Range, _cast, read_back
 from .sensing import (
@@ -164,14 +165,29 @@ class SimConfig:
             check_snr(self.detection, kind, top, "grid_snr_max_db: the grid's last point")
 
     def grid(self, kind: FadingKind) -> ProbabilityGrid:
-        """The detection table of `kind` over this config's SNR axis."""
-        axis = (self.grid_snr_min_db, self.grid_snr_max_db, self.grid_snr_step_db)
-        if kind is FadingKind.AWGN:
-            return build_awgn_grid(self.detection, *axis, self.grid_m_max)
-        return build_rayleigh_grid(self.detection, *axis)
+        """The detection table of `kind` over this config's SNR axis.
+
+        Built once per process for each distinct set of table inputs and
+        shared after that: a `ProbabilityGrid` is frozen and read-only.
+        """
+        return _grid(
+            kind, self.detection, self.grid_snr_min_db, self.grid_snr_max_db,
+            self.grid_snr_step_db, self.grid_m_max,
+        )
 
     def resolved_placement(self) -> Placement:
         return self.placement if self.placement is not None else default_placement(self.n_wn)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(
+    kind: FadingKind, detection: DetectionParams, start: float, stop: float,
+    step: float, m_max: int,
+) -> ProbabilityGrid:
+    """`SimConfig.grid`'s table, keyed by exactly the inputs it is built from."""
+    if kind is FadingKind.AWGN:
+        return build_awgn_grid(detection, start, stop, step, m_max)
+    return build_rayleigh_grid(detection, start, stop, step)
 
 
 @dataclass
@@ -290,6 +306,37 @@ def _step_rows(log: np.ndarray, fuse_index: np.ndarray) -> List[memoryview]:
     return [flat[k : k + width] for k in range(0, len(flat), width)]
 
 
+def _learn_rows(
+    rows: List[List[float]],
+    bests: List[float],
+    segments: List[Tuple[int, int]],
+    acts: List[int],
+    rewards: List[float],
+    q: QParams,
+) -> None:
+    """`update_q` for each fuse-index entry k of row i's segment, in order,
+    with `bests[i] == max(rows[i])` kept beside the row.
+
+    The arithmetic is update_q's, in its order, so the values are
+    bit-identical; only the bootstrap max is not taken anew per entry.  An
+    entry that reaches the max sets it; only a fall of the max entry itself
+    rescans the row.
+    """
+    lr, discount = q.learning_rate, q.discount
+    for i, (row, (lo, hi)) in enumerate(zip(rows, segments)):
+        best = bests[i]
+        for k in range(lo, hi):
+            a = acts[k]
+            old = row[a]
+            new = old + lr * (rewards[k] + discount * best - old)
+            row[a] = new
+            if new >= best:
+                best = new
+            elif old == best:
+                best = max(row)
+        bests[i] = best
+
+
 def _sense_and_act(world: _World, truth_log: np.ndarray) -> Tuple[np.ndarray, ...]:
     """The closed loop over steps: sensing, then the policy.
 
@@ -308,11 +355,12 @@ def _sense_and_act(world: _World, truth_log: np.ndarray) -> Tuple[np.ndarray, ..
     # Generator.integers(0, n_fb, size=n).
     actions = [policy_rng.integers(n_fb) for _ in range(n)]
     policy, q, epsilon_n = config.policy, config.qlearning, config.epsilon_n
-    # Action values per (node, channel) as plain float rows, used by
-    # q-learning only.
+    # Action values per (node, channel) as plain float rows, and each row's
+    # max, used by q-learning only.
     q_table = (
         [[0.0] * n_fb for _ in range(n)] if policy is PolicyKind.QLEARNING else None
     )
+    q_best = [0.0] * n
     graph = world.graph
     fuse_index, owner = graph.fuse_index, graph.fuse_owner
     segments, p_fa, p_d_column = world.segments, world.p_fa, world.p_d_column
@@ -377,13 +425,10 @@ def _sense_and_act(world: _World, truth_log: np.ndarray) -> Tuple[np.ndarray, ..
             actions = [choose_action_uniform(n_fb, policy_rng) for _ in range(n)]
         else:
             # Each node's row learns from its segment (the node, then its
-            # neighbours) before any node picks.
-            fused_acts = fused.tolist()
-            fused_obs = verdicts[fuse_index].tolist()
-            for row, (lo, hi) in zip(q_table, segments):
-                for k in range(lo, hi):
-                    reward = 1.0 if fused_obs[k] == occupied else 0.0
-                    update_q(q, row, fused_acts[k], reward)
+            # neighbours) before any node picks; the reward is 1.0 for an
+            # OCCUPIED verdict, else 0.0.
+            rewards = (verdicts[fuse_index] == occupied).astype(float).tolist()
+            _learn_rows(q_table, q_best, segments, fused.tolist(), rewards, q)
             actions = [choose_action_qlearning(row, q, policy_rng) for row in q_table]
     return action_log, obs_log, cohort_log
 

@@ -98,11 +98,13 @@ def choose_action_qlearning(
 ) -> int:
     """Epsilon-greedy over one node's action values (ties: lowest index).
 
-    `row` is a list of floats or a 1-d ndarray; either gives the same choice.
+    `row` is a list of floats or a 1-d ndarray; either gives the same choice:
+    the greedy pick is the first index that holds the row's max.
     """
     if rng.random() < q.epsilon:
         return int(rng.integers(len(row)))
-    return max(range(len(row)), key=row.__getitem__)
+    values = list(row)
+    return values.index(max(values))
 
 
 def update_q(
@@ -112,7 +114,9 @@ def update_q(
 
     The bootstrap max is taken over the row before the update.  `row` is
     one node's action values, a list of floats or a 1-d ndarray, updated in
-    place; both give bit-identical values.
+    place; both give bit-identical values.  This is the spec of the update:
+    the engine's q-learning kernel applies the same arithmetic inline and
+    keeps each row's max instead of taking it anew per update.
     """
     best = max(row)
     row[action] += q.learning_rate * (reward + q.discount * best - row[action])

@@ -26,12 +26,8 @@ from jamsense.engine import (
     tsr_curve,
 )
 from jamsense.fusion import Belief
-from jamsense.network import (
-    Placement,
-    build_neighbor_graph,
-    default_placement,
-)
-from jamsense.policies import PolicyKind
+from jamsense.network import Placement, build_neighbor_graph
+from jamsense.policies import PolicyKind, QParams, update_q
 from jamsense.schema import ConfigError
 from jamsense.sensing import (
     DetectionParams,
@@ -42,6 +38,7 @@ from jamsense.sensing import (
 )
 
 from invariants import check_structural_invariants, spec_detection
+from modes import ISOLATED_PLACEMENT, MODE_MATRIX, mode_config
 from oracles import edges_loop, neighbor_rows_loop
 
 
@@ -204,6 +201,51 @@ def test_structural_invariants_default_config():
 def test_structural_invariants_fuzzed(overrides):
     config = SimConfig(horizon=40, seed=31, replications=1, **overrides)
     assert check_structural_invariants(run(config)) > 0
+
+
+# (learning rate, discount) corners where the max entry falls most often:
+# with (1.0, 0.0) each update sets the entry to its reward.
+@pytest.mark.parametrize("global_cohort", [False, True], ids=["local", "global"])
+@pytest.mark.parametrize("fading", list(FadingKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("lr, discount", [(1.0, 0.0), (0.5, 0.5)])
+def test_structural_invariants_qlearning_corners(lr, discount, fading, global_cohort):
+    config = SimConfig(
+        horizon=40, seed=37, replications=1, policy=PolicyKind.QLEARNING,
+        qlearning=QParams(learning_rate=lr, discount=discount),
+        fading=fading, global_cohort=global_cohort,
+    )
+    assert check_structural_invariants(run(config)) > 0
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("lr, discount", [(0.1, 0.9), (1.0, 0.0), (0.5, 0.5)])
+def test_learn_rows_matches_update_q_bit_for_bit(lr, discount):
+    # One entry at a time, so that every step is compared: the updated entry
+    # rises above the max, ties it (reward 0 on an all-zero row ties under
+    # every parameter), falls from it (a rescan), or stays below it.
+    q = QParams(learning_rate=lr, discount=discount)
+    spec = [0.0] * 4
+    row, best = list(spec), [0.0]
+    script = np.random.default_rng(17)
+    steps = [(0, 0.0)] + [
+        (int(a), float(r)) for a, r in script.integers((4, 2), size=(600, 2))
+    ]
+    seen = set()
+    for action, reward in steps:
+        top, old = max(spec), spec[action]
+        update_q(q, spec, action, reward)
+        engine._learn_rows([row], best, [(0, 1)], [action], [reward], q)
+        assert _bits(row) == _bits(spec)
+        assert _bits(best) == _bits([max(spec)])
+        new = spec[action]
+        seen.add(
+            "rises" if new > top else "ties" if new == top
+            else "falls" if old == top else "below"
+        )
+    assert seen == {"rises", "ties", "falls", "below"}
 
 
 @pytest.mark.parametrize("grid_lookup", [True, False])
@@ -516,6 +558,37 @@ def test_check_tables_covers_tables_the_run_does_not_build():
         config.check_tables(*FadingKind)
 
 
+def test_equal_table_inputs_share_one_read_only_grid():
+    config = SimConfig(detection=DetectionParams(threshold=9.0), seed=3)
+    for kind in FadingKind:
+        grid = config.grid(kind)
+        # Other fields, such as the seed, are not table inputs.
+        assert dataclasses.replace(config, seed=4).grid(kind) is grid
+        assert not grid.values.flags.writeable
+    assert config.grid(FadingKind.AWGN) is not config.grid(FadingKind.RAYLEIGH)
+    changes = [
+        {"detection": DetectionParams(threshold=9.5)},
+        {"grid_snr_min_db": -1.0},
+        {"grid_snr_max_db": 16.0},
+        {"grid_snr_step_db": 0.5},
+        {"grid_m_max": 5},
+    ]
+    for change in changes:
+        other = dataclasses.replace(config, **change)
+        assert other.grid(FadingKind.AWGN) is not config.grid(FadingKind.AWGN), change
+
+
+@pytest.mark.parametrize("fading", list(FadingKind), ids=lambda kind: kind.value)
+def test_records_do_not_depend_on_the_grid_cache(fading):
+    config = SimConfig(
+        detection=DetectionParams(threshold=9.0), fading=fading, horizon=30, seed=41
+    )
+    for r in range(3):
+        engine._grid.cache_clear()
+        cold = run(config, r)
+        assert_records_equal(run(config, r), cold)
+
+
 def test_standalone_placement_reads_coordinates_back_as_floats():
     nodes = ((0, np.int64(1)), (np.float32(0.5), 2))
     placement = Placement(nodes, jammer=(np.int8(0), 0))
@@ -602,40 +675,6 @@ def test_many_neighbour_record_pinned_hash():
 PINNED_MANY_NEIGHBOUR_SHA256 = (
     "31f1393041144f9038e9d1db2445f9584885909afe1db3093de796b23524034c"
 )
-
-# Nine ring nodes plus one 0.6 km beyond the outer ring: node 9 has no
-# neighbours, so its cohort, decision and super-decision involve it alone.
-ISOLATED_PLACEMENT = Placement(
-    nodes=default_placement(9).nodes + ((0.0, -1.2),)
-)
-
-# Modes the default-scenario hash does not reach.  Rayleigh cohorts sum
-# their members' log-miss values, so these hashes also pin that order.
-MODE_MATRIX = {
-    "rayleigh-global": dict(n_wn=40, fading=FadingKind.RAYLEIGH, global_cohort=True),
-    "rayleigh-local": dict(n_wn=40, fading=FadingKind.RAYLEIGH),
-    "rayleigh-exact-independent": dict(
-        n_wn=40, fading=FadingKind.RAYLEIGH, grid_lookup=False, shared_draw=False
-    ),
-    "independent-draws": dict(shared_draw=False),
-    # Exact AWGN keeps n_wn detection columns, wider than the grid's 6.
-    "awgn-exact": dict(n_wn=12, grid_lookup=False),
-    "no-super-decision": dict(use_super_decision=False),
-    "global-qlearning": dict(global_cohort=True, policy=PolicyKind.QLEARNING),
-    "isolated-node": dict(placement=ISOLATED_PLACEMENT),
-    "isolated-node-rayleigh": dict(
-        placement=ISOLATED_PLACEMENT, fading=FadingKind.RAYLEIGH
-    ),
-    "one-channel": dict(n_fb=1),
-    "uniform": dict(policy=PolicyKind.UNIFORM),
-    "isolated-node-qlearning": dict(
-        placement=ISOLATED_PLACEMENT, policy=PolicyKind.QLEARNING
-    ),
-}
-
-
-def mode_config(mode: str) -> SimConfig:
-    return SimConfig(horizon=60, seed=2025, replications=1, **MODE_MATRIX[mode])
 
 
 @pytest.mark.parametrize("mode", sorted(MODE_MATRIX))
