@@ -756,8 +756,14 @@ def test_default_run_and_grid_export_leave_scipy_special_unimported(fading, tmp_
 
 
 class TestMain:
-    def test_run_exit_zero(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"seed": 2, "horizon": 20, "replications": 1})
+    @pytest.mark.parametrize("data", [
+        {"seed": 2, "replications": 1},
+        # A node whose jammer SNR underflows to 0; nodes whose coordinate difference overflows.
+        {"n_wn": 2, "placement": {"nodes": [[1, 0], [1.1, 0]], "path_loss_exponent": -1000.0}},
+        {"n_wn": 2, "placement": {"nodes": [[1e308, 0.0], [-1e308, 0.0]]}},
+    ], ids=["seed-2", "zero-snr", "far-nodes"])
+    def test_run_exit_zero(self, tmp_path, capsys, data):
+        cfg = write_config(tmp_path, {"horizon": 20, "replications": 2, **data})
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 0
         out = capsys.readouterr().out
@@ -867,6 +873,11 @@ class TestMain:
             # The echoed value is cut short, so the line stays short.
             ({"epsilon_n": 10**4000}, [], "epsilon_n"),
             ({"x" * 4000: 1}, [], "unknown key 'xxx"),
+            ({"qlearning": {"epsilon": 1.5}}, [], "qlearning.epsilon"),
+            ({"detection": {"n_samples": 7}}, [], "detection.n_samples"),
+            ({"n_wn": 1, "placement": {"nodes": [[0.0, 0.0]]}}, [], "placement.nodes[0]"),
+            ({"detection": 3}, [], "config.json.detection:"),
+            ({"false_alarm": {"awgn": {"01": 0.2}}}, [], "false_alarm.awgn"),
         ],
     )
     def test_invalid_input_exit_two_names_field(
@@ -998,3 +1009,62 @@ def test_preset_definitions_consistent():
     assert PRESETS["jdr-awgn-20ch"][1]["n_fb"] == 20
     assert PRESETS["tsr-local"][1]["use_super_decision"] is False
     assert PRESETS["tsr-super"][1]["use_super_decision"] is True
+
+
+# Traced runs: two presets, a Rayleigh config whose detection tables are both
+# computed, and a q-learning config whose row max falls on most updates.
+_RESCAN = {"policy": "qlearning", "n_wn": 40, "global_cohort": True,
+           "qlearning": {"learning_rate": 1.0, "discount": 0.0}}
+_SOURCES = {
+    "tsr-super": ["--preset", "tsr-super"],
+    "tsr-local-rayleigh": ["--preset", "tsr-local", "--fading", "rayleigh"],
+    "computed-tables": {"fading": "rayleigh", "detection": {"threshold": 9.0}},
+    "rescan": _RESCAN,
+}
+
+
+def _run_main(tmp_path, source, out, *flags):
+    """main's outputs for a preset's flags or a config dict, by file name."""
+    if isinstance(source, dict):
+        source = ["--config", str(write_config(tmp_path, source))]
+    assert main(["run", *source, *flags, "--out", str(tmp_path / out)]) == 0
+    return {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+
+
+@pytest.mark.parametrize("source", _SOURCES.values(), ids=_SOURCES)
+def test_output_bytes_do_not_depend_on_workers(tmp_path, source):
+    flags = ["--replications", "2", "--horizon", "50", "--trace", "--workers"]
+    assert _run_main(tmp_path, source, "w1", *flags, "1") == _run_main(
+        tmp_path, source, "w2", *flags, "2")
+
+
+_ECHO_SOURCES = {**{name: ["--preset", name] for name in PRESETS},
+                 "tsr-local-rayleigh": _SOURCES["tsr-local-rayleigh"], "rescan": _RESCAN}
+
+
+@pytest.mark.parametrize("source", _ECHO_SOURCES.values(), ids=_ECHO_SOURCES)
+def test_each_curve_echo_reproduces_its_metrics_and_echo(tmp_path, source):
+    first = _run_main(tmp_path, source, "first", "--replications", "2", "--horizon", "20")
+    echoes = [name for name in first if name.startswith("config_echo")]
+    assert len(echoes) == (len(_POLICY_CURVES) if "--preset" in source else 1)
+    for name in echoes:
+        suffix = name[len("config_echo"):-len(".json")]
+        again = _run_main(tmp_path, ["--config", str(tmp_path / "first" / name)], name)
+        assert again["metrics.csv"] == first[f"metrics{suffix}.csv"]
+        assert again["config_echo.json"] == first[name]
+
+
+def test_real_process_exits_through_sys_exit(tmp_path):
+    """`python -W error -m jamsense.cli`: 0 for a traced run, 2 and one
+    `config error:` line, not a traceback, for a bad config."""
+    env = dict(os.environ, PYTHONPATH=str(Path(jamsense.__file__).resolve().parents[1]))
+    good = ["--preset", "tsr-super", "--trace", "--replications", "1", "--horizon", "5"]
+    bad = ["--config", str(write_config(tmp_path, {"detection": 3}))]
+    for args, status in ((good, 0), (bad, 2)):
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "jamsense.cli", "run", *args,
+             "--out", str(tmp_path / str(status))],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == status, done.stderr
+    assert done.stderr.startswith("config error:") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr

@@ -41,6 +41,8 @@ def test_invalid_bounds_rejected():
         init_chains(3, (-0.1, 0.5), seed=1)
     with pytest.raises(ValueError):
         init_chains(3, (0.5, 1.2), seed=1)
+    with pytest.raises(ValueError, match="n_channels"):
+        init_chains(-1, (0.85, 0.98), seed=1)
 
 
 def test_adding_channels_preserves_existing_chains():

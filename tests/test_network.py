@@ -70,6 +70,8 @@ class TestSnr:
     def test_out_of_range_node(self):
         with pytest.raises(ValueError):
             snr_at_node(default_placement(4), 4)
+        with pytest.raises(ValueError, match="noise_var"):
+            snr_at_node(default_placement(4), 0, noise_var=0.0)
 
 
 @st.composite
@@ -111,6 +113,8 @@ class TestNeighborGraph:
         placement = Placement(nodes=((0.0, 0.0), (0.45, 0.0)), range_km=0.45)
         graph = build_neighbor_graph(placement)
         assert graph.edges() == ((0, 1),)
+        # A graph refuses to compare with anything but a graph.
+        assert graph.__eq__(graph.edges()) is NotImplemented and graph != graph.edges()
 
     def test_tiny_range_gives_empty_graph(self):
         placement = Placement(nodes=((0.0, 0.0), (0.2, 0.0)), range_km=1e-9)

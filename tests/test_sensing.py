@@ -258,6 +258,8 @@ class TestPdRayleighCombined:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             p_d_rayleigh_combined([])
+        with pytest.raises(ValueError, match="outside"):
+            p_d_rayleigh_combined([1.5])
 
 
 class TestFalseAlarms:
@@ -464,6 +466,10 @@ class TestProbabilityGrid:
             ProbabilityGrid(  # non-contiguous diversity axis
                 snr_db=(0.0,), diversity=(1, 3), values=[[0.1, 0.2]]
             )
+        with pytest.raises(ValueError, match="non-empty"):
+            ProbabilityGrid(snr_db=(), diversity=(), values=np.empty((0, 0)))
+        with pytest.raises(ValueError, match="in diversity"):
+            ProbabilityGrid(snr_db=(0.0,), diversity=(1, 2), values=[[0.5, 0.4]])
         # NaN passes no comparison, so it is refused as non-finite.
         with pytest.raises(ValueError, match="entries"):
             ProbabilityGrid(snr_db=(0.0,), diversity=(1,), values=[[math.nan]])
